@@ -16,7 +16,7 @@ from .ffield import (
     is_regular_char,
     subfield_embed,
 )
-from .glq import ClassKey, GLGroup, Mat, SubgroupSpec, gl_group
+from .glq import ClassKey, GLGroup, Mat, gl_group
 from .cusp import (
     CuspidalRep,
     contragredient,
@@ -27,7 +27,6 @@ from .cusp import (
 )
 from .bessel import (
     BesselTable,
-    ModelSpace,
     bessel_value,
     build_table,
     contragredient_table,

@@ -28,12 +28,11 @@ from fractions import Fraction
 from .cyclo import CycloNumber, zero
 from .cusp import CuspidalRep, contragredient
 from .ffield import AdditiveChar
-from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat
+from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, Mat
 
 __all__ = [
     "BesselEvaluator",
     "BesselTable",
-    "ModelSpace",
     "bessel_value",
     "build_table",
     "operator_L",
@@ -118,38 +117,15 @@ def build_table(sigma: CuspidalRep, psi: AdditiveChar, domain: str) -> BesselTab
     return BesselTable(sigma, psi, domain, values)
 
 
-@dataclass(frozen=True)
-class ModelSpace:
-    """Basis data for the psi_U-equivariant model of sigma on M."""
-
-    group: GLGroup
-    kind: str
-    basis: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def model_space(group: GLGroup, kind: str) -> ModelSpace:
-    if kind not in (MIRABOLIC, STABILIZER):
-        raise ValueError("the model space lives on the mirabolic or the stabilizer")
-    basis = group.coset_reps(kind)
-    space = ModelSpace(group, kind, basis)
-    expected = 1
-    for i in range(1, group.r):
-        expected *= group.q**i - 1
-    assert space.dim == expected, "model dimension must match dim(sigma)"
-    return space
-
-
 def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
     """Matrix of L(g) in the delta basis indexed by U\\M representatives."""
-    space = model_space(sigma.group, kind)
+    if kind not in (MIRABOLIC, STABILIZER):
+        raise ValueError("the model space lives on the mirabolic or the stabilizer")
+    group = sigma.group
     ev = get_evaluator(sigma, psi)
-    inverses = [c.inv() for c in space.basis]
+    inverses = group.coset_rep_inverses(kind)
     return tuple(
-        tuple(ev(ci * g * cj_inv) for cj_inv in inverses) for ci in space.basis
+        tuple(ev(ci * g * cj_inv) for cj_inv in inverses) for ci in group.coset_reps(kind)
     )
 
 

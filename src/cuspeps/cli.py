@@ -222,7 +222,7 @@ def cmd_transfer(args):
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     try:
         tame = SMonomial.from_dict(json.loads(raw))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad epsilon JSON on input: {exc}") from exc
     data = TransferData(
         r=args.r,

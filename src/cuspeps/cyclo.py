@@ -14,8 +14,6 @@ so dense coefficient lists over :class:`fractions.Fraction` are plenty fast.
 from __future__ import annotations
 
 import cmath
-import json
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -24,13 +22,9 @@ __all__ = [
     "CycloNumber",
     "cyclotomic_polynomial",
     "root_of_unity",
-    "from_rational",
     "zero",
     "one",
 ]
-
-_CACHE_ENV = "CUSPEPS_CACHE_DIR"
-_PHI_CACHE_FILE = "cyclotomic_polynomials.json"
 
 
 def _divisors(m: int) -> list[int]:
@@ -54,55 +48,18 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _load_phi_cache() -> dict:
-    root = os.environ.get(_CACHE_ENV)
-    if not root:
-        return {}
-    path = os.path.join(root, _PHI_CACHE_FILE)
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return {int(k): tuple(v) for k, v in json.load(fh).items()}
-    except (OSError, ValueError):
-        return {}
-
-
-def _store_phi_cache(table: dict) -> None:
-    root = os.environ.get(_CACHE_ENV)
-    if not root:
-        return
-    try:
-        os.makedirs(root, exist_ok=True)
-        path = os.path.join(root, _PHI_CACHE_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump({str(k): list(v) for k, v in table.items()}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-_phi_disk = _load_phi_cache()
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, low degree first, monic."""
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if m in _phi_disk:
-        return _phi_disk[m]
     if m == 1:
-        poly = (-1, 1)
-    else:
-        num = [0] * (m + 1)
-        num[0], num[m] = -1, 1
-        work = num
-        for d in _divisors(m)[:-1]:
-            work = _int_poly_div_exact(work, cyclotomic_polynomial(d))
-        poly = tuple(work)
-    _phi_disk[m] = poly
-    _store_phi_cache(_phi_disk)
-    return poly
+        return (-1, 1)
+    work = [0] * (m + 1)
+    work[0], work[m] = -1, 1
+    for d in _divisors(m)[:-1]:
+        work = _int_poly_div_exact(work, cyclotomic_polynomial(d))
+    return tuple(work)
 
 
 def _reduce(m: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -286,10 +243,6 @@ def _coerce(value) -> CycloNumber:
 def root_of_unity(m: int, j: int) -> CycloNumber:
     """zeta_m^j in canonical form."""
     return CycloNumber.zeta_power(m, j)
-
-
-def from_rational(value) -> CycloNumber:
-    return CycloNumber.rational(value)
 
 
 def zero() -> CycloNumber:

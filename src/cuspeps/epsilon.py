@@ -191,6 +191,8 @@ class SMonomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SMonomial":
+        if not isinstance(data, dict) or not isinstance(data.get("coeff"), dict):
+            raise ValueError("expected an object with an object 'coeff'")
         return cls(
             CycloNumber.from_dict(data["coeff"]),
             int(data["qbase"]),
@@ -394,6 +396,8 @@ class TransferData:
     zeta: RootOfUnity = RootOfUnity(1, 0)
 
     def __post_init__(self):
+        if self.r < 1 or self.N < 1:
+            raise ValueError("r and N must be >= 1")
         if self.e < 1 or self.N % self.e:
             raise ValueError("e must divide N")
         if (self.N // self.e) % self.r:

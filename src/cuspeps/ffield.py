@@ -20,8 +20,6 @@ multiplication.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -41,7 +39,6 @@ __all__ = [
 ZERO = -1  # log encoding of the zero element
 DEFAULT_MAX_Q = 4096
 
-_CACHE_ENV = "CUSPEPS_CACHE_DIR"
 _FIELDS: dict[tuple[int, int], "FieldSpec"] = {}
 
 
@@ -196,20 +193,8 @@ class FieldSpec:
         yield from range(self.q - 1)
 
     @staticmethod
-    def element_key(a: int) -> int:
-        return 0 if a == ZERO else a + 1
-
-    @staticmethod
     def format_element(a: int) -> str:
         return "0" if a == ZERO else f"g^{a}"
-
-    @staticmethod
-    def parse_element(s: str) -> int:
-        if s == "0":
-            return ZERO
-        if s.startswith("g^"):
-            return int(s[2:])
-        raise ValueError(f"bad element literal {s!r}")
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.k}))"
@@ -219,34 +204,6 @@ class FieldSpec:
 
     def __eq__(self, other):
         return self is other
-
-
-def _cached_modulus(p: int, k: int) -> tuple[int, ...] | None:
-    root = os.environ.get(_CACHE_ENV)
-    if not root:
-        return None
-    path = os.path.join(root, f"field_p{p}_k{k}.json")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-        return tuple(int(c) for c in data["modulus"])
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _store_modulus(p: int, k: int, modulus: tuple[int, ...]) -> None:
-    root = os.environ.get(_CACHE_ENV)
-    if not root:
-        return
-    try:
-        os.makedirs(root, exist_ok=True)
-        path = os.path.join(root, f"field_p{p}_k{k}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump({"p": p, "k": k, "modulus": list(modulus)}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass
 
 
 def build_field(p: int, k: int = 1, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
@@ -261,23 +218,14 @@ def build_field(p: int, k: int = 1, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
     if key in _FIELDS:
         return _FIELDS[key]
 
-    cached = _cached_modulus(p, k)
-    candidates = []
-    if cached is not None:
-        candidates.append(cached)
     for val in range(1, p**k):
-        coeffs = tuple((val // p**i) % p for i in range(k))
-        if coeffs[0] == 0:
-            continue
-        candidates.append(coeffs + (1,))
-    for cand in candidates:
-        if len(cand) != k + 1 or cand[-1] != 1:
+        cand = tuple((val // p**i) % p for i in range(k)) + (1,)
+        if cand[0] == 0:
             continue
         powers = _power_table(list(cand), p, k)
         if powers is not None:
             spec = FieldSpec(p, k, cand, powers)
             _FIELDS[key] = spec
-            _store_modulus(p, k, cand)
             return spec
     raise AssertionError("no primitive polynomial found; this cannot happen")
 

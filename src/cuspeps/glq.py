@@ -32,7 +32,6 @@ __all__ = [
     "Mat",
     "ClassKey",
     "NON_PRIMARY",
-    "SubgroupSpec",
     "GLGroup",
     "gl_group",
     "conjugate_partition",
@@ -45,7 +44,6 @@ UNIPOTENT = "unipotent"
 MIRABOLIC = "mirabolic"
 STABILIZER = "stabilizer"
 SINGER = "singer"
-KINDS = (FULL, UNIPOTENT, MIRABOLIC, STABILIZER, SINGER)
 
 
 class Mat:
@@ -63,10 +61,6 @@ class Mat:
         return cls(field, [[0 if i == j else ZERO for j in range(r)] for i in range(r)])
 
     @classmethod
-    def from_logs(cls, field: FieldSpec, rows) -> "Mat":
-        return cls(field, rows)
-
-    @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
         """Entries given as prime-field integers (c meaning c*1)."""
         return cls(field, [[field.from_int(c) for c in row] for row in rows])
@@ -74,9 +68,6 @@ class Mat:
     @property
     def r(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def __mul__(self, other: "Mat") -> "Mat":
         F = self.field
@@ -93,9 +84,6 @@ class Mat:
                 orow.append(acc)
             out.append(orow)
         return Mat(F, out)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, zip(*self.rows))
 
     def det(self) -> int:
         if self._det is None:
@@ -199,10 +187,6 @@ def poly_add(F: FieldSpec, a, b):
     return poly_trim(F.add(x, y) for x, y in zip(a, b))
 
 
-def poly_sub(F: FieldSpec, a, b):
-    return poly_add(F, a, tuple(F.neg(c) for c in b))
-
-
 def poly_divmod(F: FieldSpec, a, b):
     b = poly_trim(b)
     if b == (ZERO,):
@@ -272,23 +256,6 @@ def conjugate_partition(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, max(parts) + 1))
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """One of the distinguished subgroups of an ambient GL_r(F_q)."""
-
-    group: "GLGroup"
-    kind: str
-
-    def order(self) -> int:
-        return self.group.subgroup_order(self.kind)
-
-    def __iter__(self):
-        return self.group.iterate(self.kind)
-
-    def contains(self, m: Mat) -> bool:
-        return self.group.contains(self.kind, m)
-
-
 class GLGroup:
     """GL_r over GF(q) with cached structural data.
 
@@ -342,11 +309,6 @@ class GLGroup:
         if kind == SINGER:
             return q**r - 1
         raise ValueError(f"unknown subgroup kind {kind!r}")
-
-    def subgroup(self, kind: str) -> SubgroupSpec:
-        if kind not in KINDS:
-            raise ValueError(f"unknown subgroup kind {kind!r}")
-        return SubgroupSpec(self, kind)
 
     # -- enumeration -----------------------------------------------------
 

@@ -12,7 +12,6 @@ from cuspeps.bessel import (
     mat_eq,
     mat_mul,
     mat_trace,
-    model_space,
     operator_L,
 )
 from cuspeps.cusp import contragredient, list_cuspidals
@@ -101,10 +100,11 @@ def test_model_space_dimension():
     for q, r in ((3, 2), (2, 3)):
         group = gl_group(q, r)
         for kind in (MIRABOLIC, STABILIZER):
-            space = model_space(group, kind)
-            assert space.dim == list_cuspidals(group)[0].dim()
-    with pytest.raises(ValueError):
-        model_space(gl_group(3, 2), SINGER)
+            assert len(group.coset_reps(kind)) == list_cuspidals(group)[0].dim()
+    group, psi, cusps = _setup(3, 2)
+    for kind in (SINGER, FULL):
+        with pytest.raises(ValueError):
+            operator_L(cusps[0], psi, group.identity(), kind)
 
 
 def test_operator_identity_and_trace():

@@ -1,35 +1,37 @@
+"""Outputs must not depend on CUSPEPS_CACHE_DIR: no table is read from disk."""
+
 import json
 import os
 import subprocess
 import sys
 
-SNIPPET = """
-from cuspeps.ffield import build_field
-from cuspeps.cyclo import cyclotomic_polynomial
-print(build_field(2, 3).modulus, cyclotomic_polynomial(12))
-"""
+COMMANDS = (
+    ("field", "--p", "2", "--k", "3"),
+    ("verify", "--suite", "epsilon", "--q", "3", "--r", "1"),
+)
+
+# A valid but non-minimal primitive modulus for GF(8), and a wrong Phi_3.
+POISON = {
+    "field_p2_k3.json": {"p": 2, "k": 3, "modulus": [1, 0, 1, 1]},
+    "cyclotomic_polynomials.json": {"3": [1, 1, 0, 1]},
+}
 
 
-def _run(env_dir):
-    env = dict(os.environ, CUSPEPS_CACHE_DIR=str(env_dir))
+def _run(argv, cache_dir=None):
+    env = dict(os.environ)
+    env.pop("CUSPEPS_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["CUSPEPS_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.run(
-        [sys.executable, "-c", SNIPPET], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "cuspeps.cli", *argv], env=env, capture_output=True
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.returncode, proc.stdout
 
 
-def test_cache_dir_round_trip(tmp_path):
-    first = _run(tmp_path)
-    field_file = tmp_path / "field_p2_k3.json"
-    phi_file = tmp_path / "cyclotomic_polynomials.json"
-    assert field_file.exists() and phi_file.exists()
-    assert json.loads(field_file.read_text())["modulus"] == [1, 1, 0, 1]
-    assert json.loads(phi_file.read_text())["12"] == [1, 0, -1, 0, 1]
-    second = _run(tmp_path)
-    assert first == second
-
-
-def test_stale_cache_is_ignored(tmp_path):
-    (tmp_path / "field_p2_k3.json").write_text("not json")
-    assert "(1, 1, 0, 1)" in _run(tmp_path)
+def test_cache_dir_changes_no_output(tmp_path):
+    for name, doc in POISON.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for argv in COMMANDS:
+        assert _run(argv, tmp_path) == _run(argv), argv
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from cuspeps import cli
 
@@ -69,6 +72,25 @@ def test_transfer_subcommand(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["epsilon"]["s_coeff"] == "1"
     assert doc["epsilon"]["half_exp"] == -2
+
+
+UNIT_EPS = {"coeff": {"m": 1, "coeffs": ["1"]}, "qbase": 3, "half_exp": 0, "s_coeff": "0"}
+
+
+@pytest.mark.parametrize(
+    "doc, sizes",
+    [
+        (UNIT_EPS, ("--N", "1", "--e", "1", "--r", "0")),
+        (UNIT_EPS, ("--N", "0", "--e", "1", "--r", "1")),
+        ([1, 2], ("--N", "1", "--e", "1", "--r", "1")),
+        (dict(UNIT_EPS, coeff=5), ("--N", "1", "--e", "1", "--r", "1")),
+    ],
+)
+def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "transfer", "--vnu", "0", *sizes)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_subcommand(capsys):

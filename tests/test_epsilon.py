@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from cuspeps import verify
 from cuspeps.bessel import get_evaluator
 from cuspeps.cusp import list_cuspidals
 from cuspeps.cyclo import root_of_unity, zero
 from cuspeps.epsilon import (
     LevelZeroRep,
+    OracleError,
     RootOfUnity,
     SMonomial,
     TameTwist,
@@ -217,6 +219,15 @@ def test_oracle_sampled_larger_groups():
             assert zeta_tilde_oracle(tau1, tau2, psi) == eps
 
 
+def test_sampled_oracle_failure_is_reported(monkeypatch):
+    def broken(tau1, tau2, psi):
+        raise OracleError("forced failure")
+
+    monkeypatch.setattr(verify, "zeta_tilde_oracle", broken)
+    checks = {c.name: c.ok for c in verify.epsilon_suite(q=4, r=2)}
+    assert checks["GL_2(F_4) sampled oracle agreement"] is False
+
+
 # -- transfer -----------------------------------------------------------------
 
 
@@ -262,6 +273,10 @@ def test_transfer_data_validation():
         TransferData(r=1, N=3, e=2, vnu=0)
     with pytest.raises(ValueError):
         TransferData(r=2, N=3, e=3, vnu=0)
+    with pytest.raises(ValueError):
+        TransferData(r=0, N=1, e=1, vnu=0)
+    with pytest.raises(ValueError):
+        TransferData(r=1, N=0, e=1, vnu=0)
 
 
 # -- twisting -----------------------------------------------------------------

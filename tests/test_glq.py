@@ -169,10 +169,9 @@ def test_conjugate_partition():
 
 def test_subgroup_spec():
     group = gl_group(3, 2)
-    spec = group.subgroup(MIRABOLIC)
-    assert spec.order() == 6
-    assert sum(1 for _ in spec) == 6
-    assert spec.contains(Mat.from_ints(group.field, [[2, 1], [0, 1]]))
-    assert not spec.contains(group.singer_matrix(1))
+    assert group.subgroup_order(MIRABOLIC) == 6
+    assert sum(1 for _ in group.iterate(MIRABOLIC)) == 6
+    assert group.contains(MIRABOLIC, Mat.from_ints(group.field, [[2, 1], [0, 1]]))
+    assert not group.contains(MIRABOLIC, group.singer_matrix(1))
     with pytest.raises(ValueError):
-        group.subgroup("borel")
+        group.subgroup_order("borel")
