@@ -135,8 +135,8 @@ def hankel_check(
     """sum_{m in M/U} J(g1 m) J(m^-1 g2) == J(g1 g2), exactly."""
     ev = get_evaluator(sigma, psi)
     acc = zero()
-    for c in sigma.group.coset_reps(kind):
-        c_inv = c.inv()
+    group = sigma.group
+    for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind)):
         term = ev(g1 * c_inv) * ev(c * g2)
         if not term.is_zero():
             acc = acc + term

@@ -3,7 +3,8 @@
 Subcommands: ``field``, ``cuspidals``, ``bessel``, ``epsilon``, ``transfer``,
 ``verify``.  Data goes to stdout (or --out), diagnostics to stderr.  Exit
 codes: 0 success (and all selected verification suites passing), 1
-verification failure, 2 usage error.  Output is byte-stable for fixed
+verification failure, 2 usage error, 3 internal error (any other exception,
+reported in one line on stderr).  Output is byte-stable for fixed
 arguments: enumeration orders are fixed and JSON keys are sorted.
 """
 
@@ -222,7 +223,7 @@ def cmd_transfer(args):
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     try:
         tame = SMonomial.from_dict(json.loads(raw))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad epsilon JSON on input: {exc}") from exc
     data = TransferData(
         r=args.r,
@@ -332,6 +333,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # the CLI never prints a traceback
+        message = " ".join(str(exc).split())
+        detail = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+        sys.stderr.write(f"error: internal error: {detail}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A :class:`CycloNumber` of order ``m`` stores the rational coefficients of
-``1, zeta, ..., zeta^{phi(m)-1}`` after reduction modulo the m-th cyclotomic
-polynomial, so each value has exactly one representation at a given order.
-Arithmetic between values of different orders promotes both operands to the
-least common multiple first.  This makes "this character sum vanishes" an
-exact, decidable statement, which the rest of the library relies on.
+A :class:`CycloNumber` of order ``m`` is ``(num_0 + num_1 zeta + ... +
+num_{d-1} zeta^{d-1}) / den`` with ``d = phi(m)``: integer numerators over
+one positive denominator, in lowest terms, after reduction modulo the m-th
+cyclotomic polynomial.  So each value has exactly one representation at a
+given order.  Arithmetic between values of different orders works at the
+least common multiple.  This makes "this character sum vanishes" an exact,
+decidable statement, which the rest of the library relies on.
 
-Orders stay tiny in practice (lcm of the field characteristic and q^n - 1),
-so dense coefficient lists over :class:`fractions.Fraction` are plenty fast.
+Products, promotions and conjugates are formed as integer counts on the
+exponents 0..m-1 of zeta (zeta^m = 1) and then reduced by long division with
+the monic Phi_m, touching only its nonzero coefficients.  Nothing per order
+is kept beyond Phi_m itself, so memory stays O(m) even for the large orders a
+user-chosen root of unity can bring in.  :class:`fractions.Fraction` appears
+only where rationals enter or leave: constructors, ``scale``,
+``rational_value``, ``to_dict``/``from_dict``, ``embed`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycloNumber",
@@ -27,85 +33,120 @@ __all__ = [
 ]
 
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials (low-degree-first), den monic; remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("polynomial division left a remainder")
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, low degree first, monic."""
+    """Integer coefficients of Phi_m, low degree first, monic.
+
+    Phi_m = prod_{d | m squarefree} (x^(m/d) - 1)^mu(d): multiply in the
+    factors with mu(d) = 1, then divide out those with mu(d) = -1, each in
+    O(degree) steps.
+    """
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    work = [0] * (m + 1)
-    work[0], work[m] = -1, 1
-    for d in _divisors(m)[:-1]:
-        work = _int_poly_div_exact(work, cyclotomic_polynomial(d))
-    return tuple(work)
+    up, down = [m], []  # the exponents e of the factors x^e - 1, by sign of mu
+    for p in _prime_factors(m):
+        up, down = up + [e // p for e in down], down + [e // p for e in up]
+    poly = [1]
+    for e in up:  # times x^e - 1
+        poly = [0] * e + poly
+        for i in range(len(poly) - e):
+            poly[i] -= poly[i + e]
+    for e in down:  # over x^e - 1, from the top: q_k = p_{k+e} + q_{k+e}
+        for i in range(len(poly) - e - 1, -1, -1):
+            poly[i] += poly[i + e]
+        if any(poly[:e]):
+            raise ArithmeticError("polynomial division left a remainder")
+        del poly[:e]
+    return tuple(poly)
 
 
-def _reduce(m: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list (any length) modulo Phi_m."""
+@lru_cache(maxsize=None)
+def _phi_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(m), the nonzero (j, c) of Phi_m below its leading term)."""
     phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
+    d = len(phi) - 1
+    return d, tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+
+
+def _mod_phi(m: int, work: list[int]) -> tuple[int, ...]:
+    """Remainder of sum work[k] x^k modulo Phi_m, as phi(m) integers (work is consumed)."""
+    d, tail = _phi_tail(m)
+    for i in range(len(work) - 1, d - 1, -1):
         c = work[i]
         if c:
-            for j in range(deg):
-                work[i - deg + j] -= c * phi[j]
-        work[i] = Fraction(0)
-    out = work[:deg]
-    out.extend(Fraction(0) for _ in range(deg - len(out)))
-    return tuple(out)
+            base = i - d
+            for j, pj in tail:
+                work[base + j] -= c * pj
+    if len(work) < d:
+        work.extend([0] * (d - len(work)))
+    return tuple(work[:d])
+
+
+def _make(m: int, num: tuple[int, ...], den: int) -> "CycloNumber":
+    """Wrap numerators and a denominator already in lowest terms."""
+    out = object.__new__(CycloNumber)
+    out.m = m
+    out.num = num
+    out.den = den
+    return out
+
+
+def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators and a positive denominator divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(x // g for x in num), den // g
+    return tuple(num), den
 
 
 class CycloNumber:
-    """An element of Q(zeta_m) in canonical (reduced) form."""
+    """An element of Q(zeta_m) in canonical (reduced, lowest-terms) form.
 
-    __slots__ = ("m", "coeffs")
+    ``CycloNumber(m, coeffs)`` takes the rational coefficients of
+    ``1, zeta, zeta^2, ...`` (any length) and reduces them.
+    """
 
-    def __init__(self, m: int, coeffs, *, _reduced: bool = False):
+    __slots__ = ("m", "num", "den")
+
+    def __init__(self, m: int, coeffs):
         if m < 1:
             raise ValueError("cyclotomic order must be >= 1")
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
         self.m = m
-        if _reduced:
-            self.coeffs = tuple(coeffs)
-        else:
-            self.coeffs = _reduce(m, [Fraction(c) for c in coeffs])
+        self.num, self.den = _lowest(
+            _mod_phi(m, [f.numerator * (den // f.denominator) for f in fracs]), den
+        )
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, value) -> "CycloNumber":
-        return cls(1, [Fraction(value)])
+        value = Fraction(value)
+        return _make(1, (value.numerator,), value.denominator)
 
     @classmethod
     def zeta_power(cls, m: int, j: int) -> "CycloNumber":
         if m < 1:
             raise ValueError("root-of-unity order must be >= 1")
         j %= m
-        coeffs = [Fraction(0)] * (j + 1)
-        coeffs[j] = Fraction(1)
-        return cls(m, coeffs)
+        work = [0] * (j + 1)
+        work[j] = 1
+        return _make(m, _mod_phi(m, work), 1)
 
     # -- promotion ----------------------------------------------------
 
@@ -116,28 +157,27 @@ class CycloNumber:
         if order % self.m:
             raise ValueError("can only promote to a multiple of the order")
         step = order // self.m
-        coeffs = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                coeffs[j * step] = c
-        return CycloNumber(order, coeffs)
+        work = [0] * ((len(self.num) - 1) * step + 1)
+        work[::step] = self.num
+        # Z[zeta_order] meets Q(zeta_m) in Z[zeta_m], so the content, hence den, is kept.
+        return _make(order, _mod_phi(order, work), self.den)
 
     def _pair(self, other: "CycloNumber"):
+        if self.m == other.m:
+            return self, other, self.m
         order = lcm(self.m, other.m)
         return self.promote(order), other.promote(order), order
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if self.m == other.m:
-            return CycloNumber(
-                self.m,
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                _reduced=True,
-            )
-        a, b, order = self._pair(other)
-        return CycloNumber(order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), _reduced=True)
+        a, b, order = self._pair(_coerce(other))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(order, *_lowest([x + y for x, y in zip(a.num, b.num)], da))
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(order, *_lowest([x * fa + y * fb for x, y in zip(a.num, b.num)], da * fa))
 
     __radd__ = __add__
 
@@ -148,20 +188,28 @@ class CycloNumber:
         return (-self) + _coerce(other)
 
     def __neg__(self):
-        return CycloNumber(self.m, tuple(-c for c in self.coeffs), _reduced=True)
+        return _make(self.m, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b, order = self._pair(_coerce(other))
-        n1, n2 = len(a.coeffs), len(b.coeffs)
-        conv = [Fraction(0)] * (n1 + n2 - 1)
-        for i, ci in enumerate(a.coeffs):
+        other = _coerce(other)
+        order = self.m if self.m == other.m else lcm(self.m, other.m)
+        sa, sb = order // self.m, order // other.m
+        terms_b = [(j * sb, c) for j, c in enumerate(other.num) if c]
+        # Exponent counts: zeta^(i*sa) * zeta^(j*sb), both below order, so
+        # every index is below 2*order; fold zeta^order = 1 before dividing.
+        work = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
+        for i, ci in enumerate(self.num):
             if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        conv[i + j] += ci * cj
-        return CycloNumber(order, conv)
+                i *= sa
+                for j, cj in terms_b:
+                    work[i + j] += ci * cj
+        if len(work) > order:
+            for k in range(order, len(work)):
+                work[k - order] += work[k]
+            del work[order:]
+        return _make(order, *_lowest(_mod_phi(order, work), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -179,28 +227,30 @@ class CycloNumber:
 
     def scale(self, c) -> "CycloNumber":
         c = Fraction(c)
-        return CycloNumber(self.m, tuple(x * c for x in self.coeffs), _reduced=True)
+        return _make(self.m, *_lowest([x * c.numerator for x in self.num], self.den * c.denominator))
 
     def conjugate(self) -> "CycloNumber":
         """Image under zeta -> zeta^{-1} (complex conjugation on the embedding)."""
-        coeffs = [Fraction(0)] * self.m
-        for j, c in enumerate(self.coeffs):
+        m = self.m
+        work = [0] * m
+        for j, c in enumerate(self.num):
             if c:
-                coeffs[(-j) % self.m] += c
-        return CycloNumber(self.m, coeffs)
+                work[-j % m] += c
+        # An automorphism of Z[zeta_m] keeps the content, hence den.
+        return _make(m, _mod_phi(m, work), self.den)
 
     # -- predicates and conversions -------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,18 +258,22 @@ class CycloNumber:
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b, _ = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def embed(self) -> complex:
         """Evaluate at zeta_m = exp(2*pi*i/m)."""
+        den = self.den
         return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * j / self.m)
-            for j, c in enumerate(self.coeffs)
-            if c
+            complex(n / den) * cmath.exp(2j * cmath.pi * j / self.m)
+            for j, n in enumerate(self.num)
+            if n
         ) or complex(0.0)
 
+    def _fractions(self) -> list[Fraction]:
+        return [Fraction(n, self.den) for n in self.num]
+
     def to_dict(self) -> dict:
-        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
+        return {"m": self.m, "coeffs": [str(c) for c in self._fractions()]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CycloNumber":
@@ -227,8 +281,8 @@ class CycloNumber:
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycloNumber({self.coeffs[0]})"
-        terms = [f"{c}*z{self.m}^{j}" for j, c in enumerate(self.coeffs) if c]
+            return f"CycloNumber({Fraction(self.num[0], self.den)})"
+        terms = [f"{c}*z{self.m}^{j}" for j, c in enumerate(self._fractions()) if c]
         return "CycloNumber(" + " + ".join(terms) + ")"
 
 

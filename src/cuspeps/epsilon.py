@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+# Largest root-of-unity order RootOfUnity.parse accepts.  Arithmetic runs at
+# the lcm of this order and the group's, and Phi of that order is built in
+# full, so an unbounded order from the command line could exhaust memory.
+MAX_ROOT_ORDER = 1000
+
+
 class OracleError(RuntimeError):
     """The zeta-integral recomputation contradicted a structural identity."""
 
@@ -100,7 +106,10 @@ class RootOfUnity:
         if text == "-1":
             return cls(2, 1)
         j, m = text.split("/")
-        return cls(int(m), int(j))
+        root = cls(int(m), int(j))
+        if root.order > MAX_ROOT_ORDER:
+            raise ValueError(f"root-of-unity order {root.order} exceeds {MAX_ROOT_ORDER}")
+        return root
 
     def __str__(self):
         return f"{self.exp}/{self.order}"
@@ -193,9 +202,12 @@ class SMonomial:
     def from_dict(cls, data: dict) -> "SMonomial":
         if not isinstance(data, dict) or not isinstance(data.get("coeff"), dict):
             raise ValueError("expected an object with an object 'coeff'")
+        qbase = int(data["qbase"])
+        if qbase < 2:
+            raise ValueError(f"qbase must be at least 2, got {qbase}")
         return cls(
             CycloNumber.from_dict(data["coeff"]),
-            int(data["qbase"]),
+            qbase,
             int(data["half_exp"]),
             Fraction(data["s_coeff"]),
         )

@@ -153,6 +153,24 @@ def test_hankel_identity():
             assert hankel_check(sigma, psi, g, g.inv(), STABILIZER)
 
 
+def test_hankel_check_reuses_coset_inverses(monkeypatch):
+    group, psi, cusps = _setup(3, 2)
+    sigma = cusps[0]
+    g1, g2 = group.singer_matrix(1), group.singer_matrix(2)
+    assert hankel_check(sigma, psi, g1, g2, MIRABOLIC)  # warms the caches
+    calls = []
+    original = Mat.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "inv", counting_inv)
+    for _ in range(3):
+        assert hankel_check(sigma, psi, g1, g2, MIRABOLIC)
+    assert calls == []
+
+
 def test_contragredient_table():
     group, psi, cusps = _setup(3, 2)
     sigma = cusps[0]

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cuspeps import cli
+from cuspeps.epsilon import MAX_ROOT_ORDER, RootOfUnity
 
 
 def run_cli(capsys, *argv):
@@ -84,11 +85,35 @@ UNIT_EPS = {"coeff": {"m": 1, "coeffs": ["1"]}, "qbase": 3, "half_exp": 0, "s_co
         (UNIT_EPS, ("--N", "0", "--e", "1", "--r", "1")),
         ([1, 2], ("--N", "1", "--e", "1", "--r", "1")),
         (dict(UNIT_EPS, coeff=5), ("--N", "1", "--e", "1", "--r", "1")),
+        (dict(UNIT_EPS, coeff={"m": 1, "coeffs": ["1/0"]}), ("--N", "1", "--e", "1", "--r", "1")),
+        (dict(UNIT_EPS, s_coeff="1/0"), ("--N", "1", "--e", "1", "--r", "1")),
+        (dict(UNIT_EPS, qbase=0, half_exp=-1), ("--N", "1", "--e", "1", "--r", "1")),
     ],
 )
 def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out, err = run_cli(capsys, "transfer", "--vnu", "0", *sizes)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # 3 ** 5000.0 overflows a float in SMonomial.value_at.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(UNIT_EPS, half_exp=10000))))
+    code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal error: OverflowError") and err.count("\n") == 1
+
+
+def test_root_order_limit(capsys):
+    assert RootOfUnity.parse(f"1/{MAX_ROOT_ORDER}").order == MAX_ROOT_ORDER
+    assert RootOfUnity.parse(f"2/{2 * MAX_ROOT_ORDER}").order == MAX_ROOT_ORDER
+    with pytest.raises(ValueError):
+        RootOfUnity.parse(f"1/{MAX_ROOT_ORDER + 1}")
+    code, out, err = run_cli(
+        capsys,
+        "epsilon", "--q", "3", "--r", "1", "--theta1", "1", "--theta2", "0", "--t1", "1/100000000000",
+    )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

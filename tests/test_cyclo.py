@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspeps.cyclo import CycloNumber, cyclotomic_polynomial, root_of_unity
 
@@ -44,6 +47,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_product_identity():
+    # prod_{d | m} Phi_d = x^m - 1 determines every Phi_m by induction on m.
+    for m in range(1, 181):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1]
 
 
 def _random_value(rng):
@@ -90,3 +108,143 @@ def test_rational_extraction():
     assert (root_of_unity(4, 1) ** 2).rational_value() == -1
     with pytest.raises(ValueError):
         root_of_unity(4, 1).rational_value()
+
+
+# -- reference: the Fraction-list arithmetic this module used to run on ------
+
+
+def _ref_reduce(m, coeffs):
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in coeffs]
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j in range(deg):
+                work[i - deg + j] -= c * phi[j]
+        work[i] = Fraction(0)
+    out = work[:deg]
+    out.extend(Fraction(0) for _ in range(deg - len(out)))
+    return m, tuple(out)
+
+
+def _ref_promote(a, order):
+    m, coeffs = a
+    step = order // m
+    work = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for j, c in enumerate(coeffs):
+        work[j * step] = c
+    return _ref_reduce(order, work)
+
+
+def _ref_pair(a, b):
+    order = lcm(a[0], b[0])
+    return _ref_promote(a, order)[1], _ref_promote(b, order)[1], order
+
+
+def _ref_mul(a, b):
+    ca, cb, order = _ref_pair(a, b)
+    conv = [Fraction(0)] * (len(ca) + len(cb) - 1)
+    for i, ci in enumerate(ca):
+        if ci:
+            for j, cj in enumerate(cb):
+                if cj:
+                    conv[i + j] += ci * cj
+    return _ref_reduce(order, conv)
+
+
+def _ref_add(a, b):
+    ca, cb, order = _ref_pair(a, b)
+    return order, tuple(x + y for x, y in zip(ca, cb))
+
+
+def _ref_conjugate(a):
+    m, coeffs = a
+    work = [Fraction(0)] * m
+    for j, c in enumerate(coeffs):
+        work[-j % m] += c
+    return _ref_reduce(m, work)
+
+
+def _ref_dict(a):
+    return {"m": a[0], "coeffs": [str(c) for c in a[1]]}
+
+
+def _random_coeffs(rng, n, density):
+    return [
+        Fraction(rng.randrange(-20, 21), rng.choice((1, 1, 2, 3, 8, 25)))
+        if rng.random() < density
+        else Fraction(0)
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ma, mb", [(1, 1), (2, 2), (7, 7), (31, 31), (120, 120), (336, 336), (5, 24)]
+)
+def test_matches_fraction_reference(ma, mb):
+    rng = random.Random(ma * 1000 + mb)
+    for _ in range(4 if ma == 336 else 12):
+        density = rng.choice((0.1, 0.5, 1.0))
+        # Unreduced inputs (up to two full periods) exercise the constructor too.
+        ca = _random_coeffs(rng, rng.randrange(1, 2 * ma + 1), density)
+        cb = _random_coeffs(rng, rng.randrange(1, 2 * mb + 1), density)
+        a, b = CycloNumber(ma, ca), CycloNumber(mb, cb)
+        ra, rb = _ref_reduce(ma, ca), _ref_reduce(mb, cb)
+        assert a.to_dict() == _ref_dict(ra) and b.to_dict() == _ref_dict(rb)
+        assert (a * b).to_dict() == _ref_dict(_ref_mul(ra, rb))
+        assert (b * a).to_dict() == _ref_dict(_ref_mul(rb, ra))
+        assert (a * a).to_dict() == _ref_dict(_ref_mul(ra, ra))
+        assert (a + b).to_dict() == _ref_dict(_ref_add(ra, rb))
+        assert a.conjugate().to_dict() == _ref_dict(_ref_conjugate(ra))
+        assert b.conjugate().to_dict() == _ref_dict(_ref_conjugate(rb))
+        order = lcm(ma, mb) * rng.choice((1, 2, 3))
+        assert a.promote(order).to_dict() == _ref_dict(_ref_promote(ra, order))
+        j = rng.randrange(mb)
+        rz = _ref_reduce(mb, [0] * j + [1])
+        assert (a * root_of_unity(mb, j)).to_dict() == _ref_dict(_ref_mul(ra, rz))
+
+
+# -- ring laws against the complex embedding ---------------------------------
+
+EMBED_TOL = 1e-9
+ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 24)
+
+
+@st.composite
+def cyclo_numbers(draw):
+    m = draw(st.sampled_from(ORDERS))
+    coeffs = [Fraction(0)] * m
+    for _ in range(draw(st.integers(0, 4))):
+        j = draw(st.integers(0, m - 1))
+        coeffs[j] += Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return CycloNumber(m, coeffs)
+
+
+def _close(x, y):
+    return abs(x - y) <= EMBED_TOL * max(1.0, abs(y))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cyclo_numbers(), cyclo_numbers(), cyclo_numbers())
+def test_ring_laws_property(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and (a - a).is_zero() and (a * 0).is_zero()
+    ea, eb, ec = a.embed(), b.embed(), c.embed()
+    assert _close((a + b).embed(), ea + eb)
+    assert _close((a * b).embed(), ea * eb)
+    assert _close(((a * b) * c).embed(), ea * eb * ec)
+    assert _close((a * (b + c)).embed(), ea * (eb + ec))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cyclo_numbers(), cyclo_numbers())
+def test_conjugation_involution_property(a, b):
+    assert a.conjugate().conjugate() == a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert _close(a.conjugate().embed(), a.embed().conjugate())
+    assert _close((a * a.conjugate()).embed(), abs(a.embed()) ** 2)
