@@ -60,6 +60,10 @@ __all__ = [
 # full, so an unbounded order from the command line could exhaust memory.
 MAX_ROOT_ORDER = 1000
 
+# Largest cyclotomic order SMonomial.from_dict accepts for the coefficient of
+# an input document, for the same reason: Phi_m is built as lists of length m.
+MAX_COEFF_ORDER = 10**6
+
 
 class OracleError(RuntimeError):
     """The zeta-integral recomputation contradicted a structural identity."""
@@ -205,6 +209,9 @@ class SMonomial:
         qbase = int(data["qbase"])
         if qbase < 2:
             raise ValueError(f"qbase must be at least 2, got {qbase}")
+        order = int(data["coeff"]["m"])
+        if order > MAX_COEFF_ORDER:
+            raise ValueError(f"coefficient order {order} exceeds {MAX_COEFF_ORDER}")
         return cls(
             CycloNumber.from_dict(data["coeff"]),
             qbase,

@@ -18,6 +18,13 @@ degree d, and is then recorded by d, the smallest discrete log among the
 roots of f in GF(q^d), and the Jordan block partition.  Everything else is
 lumped into a single non-primary key, which is all the cuspidal character
 formula needs (it vanishes there).
+
+:meth:`GLGroup.class_map` counts the elements of every key in one pass over
+all r x r matrices.  det(x*I - g) is linear in the last row of g, with the
+cofactors of the first r - 1 rows as coefficients; those are computed once
+per prefix, so each last row costs one characteristic polynomial of at most
+r^2 field operations, and its constant term tells whether g is invertible.
+The Jordan partition is computed only when r/d >= 2.
 """
 
 from __future__ import annotations
@@ -276,7 +283,7 @@ class GLGroup:
         self._singer_coeffs: list[tuple[int, ...]] | None = None
         self._singer_index: dict[tuple[int, ...], int] | None = None
         self._irreducibles: dict[int, tuple] = {}
-        self._power_cache: dict[int, tuple] = {}
+        self._primary_powers: dict[tuple, tuple] | None = None
         self._key_cache: dict[Mat, ClassKey] = {}
         self._eig_cache: dict[tuple, int] = {}
         self._class_map: dict[ClassKey, list] | None = None
@@ -310,15 +317,19 @@ class GLGroup:
             return q**r - 1
         raise ValueError(f"unknown subgroup kind {kind!r}")
 
+    def _check_bound(self, kind: str):
+        size = self.subgroup_order(kind)
+        if size > self.element_bound:
+            raise ValueError(
+                f"subgroup {kind} of GL_{self.r}(F_{self.q}) has "
+                f"{size} elements, over the bound {self.element_bound}"
+            )
+
     # -- enumeration -----------------------------------------------------
 
     def iterate(self, kind: str):
         """Deterministic stream over a subgroup, each element exactly once."""
-        if self.subgroup_order(kind) > self.element_bound:
-            raise ValueError(
-                f"subgroup {kind} of GL_{self.r}(F_{self.q}) has "
-                f"{self.subgroup_order(kind)} elements, over the bound {self.element_bound}"
-            )
+        self._check_bound(kind)
         F, r = self.field, self.r
         elems = list(F.elements())
         if kind == SINGER:
@@ -517,16 +528,8 @@ class GLGroup:
     # -- characteristic polynomial and class keys -------------------------
 
     def charpoly(self, g: Mat):
-        """det(x*I - g) as a monic polynomial over GF(q)."""
-        F, r = self.field, self.r
-        mat = [
-            [
-                poly_trim([F.neg(g.rows[i][j])] + ([0] if i == j else []))
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        return _poly_det(F, mat)
+        """det(x*I - g) as a monic polynomial over GF(q), expanded along the last row."""
+        return _charpoly_from(self.field, _last_row_cofactors(self.field, g.rows[:-1]), g.rows[-1])
 
     def _canonical_eigenvalue(self, f) -> int:
         """Smallest discrete log among the roots of the irreducible f in GF(q^d)."""
@@ -547,56 +550,82 @@ class GLGroup:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
         if g in self._key_cache:
             return self._key_cache[g]
-        if g.det() == ZERO:
-            raise ValueError("matrix is singular")
         cp = self.charpoly(g)
-        key = NON_PRIMARY
-        for d in range(1, self.r + 1):
-            if self.r % d:
-                continue
-            for f, f_power in self._primary_candidates(d):
-                if f_power == cp:
-                    key = ClassKey(d, self._canonical_eigenvalue(f), self._jordan_blocks(g, f, d))
-                    break
-            if key.primary:
-                break
+        if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
+            raise ValueError("matrix is singular")
+        key = self._key_of(cp, g.rows)
         self._key_cache[g] = key
         return key
 
-    def _primary_candidates(self, d: int) -> tuple:
-        if d not in self._power_cache:
-            self._power_cache[d] = tuple(
-                (f, poly_pow(self.field, f, self.r // d)) for f in self.irreducibles(d)
-            )
-        return self._power_cache[d]
+    def _key_of(self, cp, rows) -> ClassKey:
+        """Class key of the invertible matrix with these rows and charpoly cp."""
+        if self._primary_powers is None:
+            self._primary_powers = {
+                poly_pow(self.field, f, self.r // d): (d, f)
+                for d in range(1, self.r + 1)
+                if self.r % d == 0
+                for f in self.irreducibles(d)
+            }
+        hit = self._primary_powers.get(cp)
+        if hit is None:
+            return NON_PRIMARY
+        d, f = hit
+        blocks = (1,) if d == self.r else self._jordan_blocks(Mat(self.field, rows), f, d)
+        return ClassKey(d, self._canonical_eigenvalue(f), blocks)
 
     def _jordan_blocks(self, g: Mat, f, d: int) -> tuple[int, ...]:
-        """Jordan partition of r/d from the nullity sequence of f(g)^j."""
-        F, r = self.field, self.r
-        fg = _matrix_poly(self, f, g)
-        power = Mat.identity(F, r)
-        nullities = [0]
-        while nullities[-1] < r // d:
-            power = power * fg
+        """Jordan partition of r/d from the nullity sequence of f(g)^j.
+
+        Entry j of the sequence counts the blocks of size at least j.  Once a
+        step adds at most one block, that block takes the rest of r/d."""
+        F, r, n = self.field, self.r, self.r // d
+        fg = _matrix_poly(F, f, g)
+        power = fg
+        diffs: list[int] = []
+        seen = 0
+        while True:
             nullity = r - _rank(F, [list(row) for row in power.rows])
             assert nullity % d == 0
-            nullities.append(nullity // d)
-        diffs = [nullities[i + 1] - nullities[i] for i in range(len(nullities) - 1)]
-        return conjugate_partition(diffs)
+            step = nullity // d - seen
+            diffs.append(step)
+            seen += step
+            if step <= 1 or seen == n:
+                diffs.extend([1] * (n - seen))
+                return conjugate_partition(diffs)
+            power = power * fg
 
     # -- class map ---------------------------------------------------------
 
     def class_map(self) -> dict[ClassKey, list]:
-        """key -> [element count, representative], over the full group."""
+        """key -> [element count, representative], over the full group.
+
+        One pass over all r x r matrices in the enumeration order of
+        ``iterate(FULL)``: for each first r - 1 rows of full rank, the
+        cofactors of the last row of x*I - g are computed once, and every
+        last row then costs one charpoly of at most r^2 field operations,
+        whose constant term decides invertibility.  Counts are exact, keys
+        appear in first-appearance order and each representative is the
+        first element with its key."""
         if self._class_map is None:
+            self._check_bound(FULL)
+            F, r = self.field, self.r
+            vectors = list(itertools.product(list(F.elements()), repeat=r))
             table: dict[ClassKey, list] = {}
-            for g in self.elements(FULL):
-                key = self.class_key(g)
-                slot = table.get(key)
-                if slot is None:
-                    table[key] = [1, g]
-                else:
-                    slot[0] += 1
+            for prefix in itertools.product(vectors, repeat=r - 1):
+                if _rank(F, [list(row) for row in prefix]) < r - 1:
+                    continue
+                cofactors = _last_row_cofactors(F, prefix)
+                for last in vectors:
+                    cp = _charpoly_from(F, cofactors, last)
+                    if cp[0] == ZERO:
+                        continue
+                    rows = prefix + (last,)
+                    key = self._key_of(cp, rows)
+                    slot = table.get(key)
+                    if slot is None:
+                        table[key] = [1, Mat(F, rows)]
+                    else:
+                        slot[0] += 1
             assert sum(c for c, _ in table.values()) == self.order()
             self._class_map = table
         return self._class_map
@@ -605,23 +634,55 @@ class GLGroup:
         return Mat.identity(self.field, self.r)
 
 
-def _matrix_poly(group: GLGroup, coeffs, g: Mat) -> Mat:
-    """Evaluate a polynomial with GF(q) coefficients at the matrix g."""
-    F, r = group.field, group.r
-    acc = Mat(F, [[ZERO] * r for _ in range(r)])
-    for c in reversed(coeffs):
-        acc = acc * g
-        if c != ZERO:
+def _matrix_poly(F: FieldSpec, f, g: Mat) -> Mat:
+    """f(g) for a monic f of degree >= 1, by Horner's rule starting from g."""
+    acc = g
+    for k in range(len(f) - 2, -1, -1):
+        if f[k] != ZERO:
             rows = [list(row) for row in acc.rows]
-            for i in range(r):
-                rows[i][i] = F.add(rows[i][i], c)
+            for i in range(g.r):
+                rows[i][i] = F.add(rows[i][i], f[k])
             acc = Mat(F, rows)
+        if k:
+            acc = acc * g
     return acc
+
+
+def _last_row_cofactors(F: FieldSpec, prefix):
+    """Shared part of det(x*I - g) for every g whose first r - 1 rows are prefix.
+
+    Expanding along the last row v gives cp(x) = x*C_{r-1}(x) - sum_j v_j*C_j(x),
+    with C_j the signed cofactors.  Returns x*C_{r-1} as r + 1 coefficients and,
+    for each j, the nonzero coefficients of -C_j as (degree, log) pairs."""
+    r = len(prefix) + 1
+    top = [
+        [poly_trim([F.neg(row[j])] + ([0] if i == j else [])) for j in range(r)]
+        for i, row in enumerate(prefix)
+    ]
+    minors = [_poly_det(F, [row[:j] + row[j + 1:] for row in top]) for j in range(r)]
+    negated = [  # -C_j = (-1)^(r + j) * minor_j
+        tuple((i, F.neg(c) if (r + j) % 2 else c) for i, c in enumerate(minor) if c != ZERO)
+        for j, minor in enumerate(minors)
+    ]
+    return (ZERO,) + minors[r - 1], negated
+
+
+def _charpoly_from(F: FieldSpec, cofactors, last) -> tuple:
+    """det(x*I - g) from the shared cofactors of the prefix and the last row of g."""
+    base, negated = cofactors
+    cp = list(base)
+    for v, terms in zip(last, negated):
+        if v != ZERO:
+            for i, c in terms:
+                cp[i] = F.add(cp[i], F.mul(v, c))
+    return tuple(cp)
 
 
 def _poly_det(F: FieldSpec, mat) -> tuple:
     """Determinant of a matrix of polynomials, by cofactor expansion."""
     n = len(mat)
+    if n == 0:
+        return (0,)
     if n == 1:
         return mat[0][0]
     acc = (ZERO,)

@@ -88,6 +88,7 @@ UNIT_EPS = {"coeff": {"m": 1, "coeffs": ["1"]}, "qbase": 3, "half_exp": 0, "s_co
         (dict(UNIT_EPS, coeff={"m": 1, "coeffs": ["1/0"]}), ("--N", "1", "--e", "1", "--r", "1")),
         (dict(UNIT_EPS, s_coeff="1/0"), ("--N", "1", "--e", "1", "--r", "1")),
         (dict(UNIT_EPS, qbase=0, half_exp=-1), ("--N", "1", "--e", "1", "--r", "1")),
+        (dict(UNIT_EPS, coeff={"m": 10**11, "coeffs": ["1"]}), ("--N", "1", "--e", "1", "--r", "1")),
     ],
 )
 def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
+from cuspeps import cli
 from cuspeps.cyclo import root_of_unity
-from cuspeps.ffield import ZERO, AdditiveChar
+from cuspeps.ffield import ZERO, AdditiveChar, subfield_embed
 from cuspeps.glq import (
     FULL,
     MIRABOLIC,
@@ -15,6 +17,11 @@ from cuspeps.glq import (
     Mat,
     conjugate_partition,
     gl_group,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_pow,
+    poly_trim,
 )
 
 
@@ -46,6 +53,20 @@ def test_iteration_bound():
     group = gl_group(5, 3)  # |GL_3(F_5)| is about 1.5 million
     with pytest.raises(ValueError):
         next(group.iterate(FULL))
+
+
+def test_class_map_bound_raises_before_scanning(capsys):
+    group = gl_group(5, 3)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the bound"):
+        group.class_map()
+    assert time.perf_counter() - start < 0.5
+    assert cli.main(["cuspidals", "--q", "5", "--r", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: subgroup full of GL_3(F_5) has 1488000 elements, over the bound 1000000\n"
+    )
 
 
 def test_psi_u_values():
@@ -91,6 +112,168 @@ def test_class_key_is_class_function(q, r):
     for _ in range(500):
         g, h = rng.choice(elems), rng.choice(elems)
         assert group.class_key(h * g * h.inv()) == group.class_key(g)
+
+
+# -- independent classification oracle ------------------------------------
+#
+# Characteristic polynomial by full cofactor expansion of x*I - g, primary
+# polynomial by trying every f^(r/d), Jordan type from the whole nullity
+# sequence of f(g)^j with f(g) evaluated from the zero matrix.
+
+
+def _oracle_poly_det(F, mat):
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = (ZERO,)
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = poly_mul(F, entry, _oracle_poly_det(F, minor))
+        if j % 2:
+            term = tuple(F.neg(c) for c in term)
+        acc = poly_add(F, acc, term)
+    return acc
+
+
+def _oracle_charpoly(F, g):
+    r = g.r
+    return _oracle_poly_det(F, [
+        [poly_trim([F.neg(g.rows[i][j])] + ([0] if i == j else [])) for j in range(r)]
+        for i in range(r)
+    ])
+
+
+def _oracle_rank(F, rows):
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != ZERO), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != ZERO:
+                f = F.div(rows[i][col], rows[rank][col])
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_blocks(group, g, f, d):
+    F, r = group.field, group.r
+    fg = Mat(F, [[ZERO] * r for _ in range(r)])
+    for c in reversed(f):
+        fg = fg * g
+        fg = Mat(F, [[F.add(v, c) if i == j else v for j, v in enumerate(row)] for i, row in enumerate(fg.rows)])
+    power, nullities = group.identity(), [0]
+    while nullities[-1] < r // d:
+        power = power * fg
+        nullities.append((r - _oracle_rank(F, power.rows)) // d)
+    return conjugate_partition([b - a for a, b in zip(nullities, nullities[1:])])
+
+
+def _oracle_eigenvalue(group, f):
+    ext = group.ext_field(len(f) - 1)
+    coeffs = [subfield_embed(c, group.field, ext) for c in f]
+    return min(e for e in range(ext.q - 1) if poly_eval(ext, coeffs, e) == ZERO)
+
+
+def _oracle_classify(group, g):
+    """(charpoly, class key) of g."""
+    F, r = group.field, group.r
+    cp = _oracle_charpoly(F, g)
+    for d in range(1, r + 1):
+        if r % d == 0:
+            for f in group.irreducibles(d):
+                if poly_pow(F, f, r // d) == cp:
+                    return cp, ClassKey(d, _oracle_eigenvalue(group, f), _oracle_blocks(group, g, f, d))
+    return cp, NON_PRIMARY
+
+
+def _oracle_key(group, g):
+    return _oracle_classify(group, g)[1]
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+def test_classification_matches_oracle(q, r):
+    group = gl_group(q, r)
+    table = {}
+    for g in group.elements(FULL):
+        cp, key = _oracle_classify(group, g)
+        assert group.charpoly(g) == cp
+        assert group.class_key(g) == key
+        slot = table.setdefault(key, [0, g])
+        slot[0] += 1
+    assert list(group.class_map().items()) == list(table.items())
+
+
+def test_classification_matches_oracle_sampled_gl4_f2():
+    group = gl_group(2, 4)
+    F = group.field
+    elems = list(F.elements())
+    rng = random.Random(4)
+    checked = 0
+    while checked < 2000:
+        g = Mat(F, [[rng.choice(elems) for _ in range(4)] for _ in range(4)])
+        if g.det() == ZERO:
+            continue
+        cp, key = _oracle_classify(group, g)
+        assert group.charpoly(g) == cp
+        assert group.class_key(g) == key
+        checked += 1
+    cmap = group.class_map()
+    assert sum(count for count, _ in cmap.values()) == group.order()
+    for key, (_, rep) in cmap.items():
+        assert _oracle_key(group, rep) == key
+
+
+def _jordan_block_matrix(blocks, lam):
+    """Upper-triangular Jordan form with eigenvalue lam (an integer) and these block sizes."""
+    r = sum(blocks)
+    rows = [[0] * r for _ in range(r)]
+    start = 0
+    for size in blocks:
+        for i in range(start, start + size):
+            rows[i][i] = lam
+            if i + 1 < start + size:
+                rows[i][i + 1] = 1
+        start += size
+    return rows
+
+
+@pytest.mark.parametrize(
+    "q,blocks,lam,eig",
+    [
+        (2, (4,), 1, 0),
+        (2, (3, 1), 1, 0),
+        (2, (2, 2), 1, 0),
+        (2, (2, 1, 1), 1, 0),
+        (2, (1, 1, 1, 1), 1, 0),
+        (3, (3,), 2, 1),
+        (3, (2, 1), 2, 1),
+        (3, (1, 1, 1), 2, 1),
+    ],
+)
+def test_jordan_types_of_explicit_matrices(q, blocks, lam, eig):
+    group = gl_group(q, sum(blocks))
+    g = Mat.from_ints(group.field, _jordan_block_matrix(blocks, lam))
+    assert group.class_key(g) == ClassKey(1, eig, blocks)
+    assert _oracle_key(group, g) == ClassKey(1, eig, blocks)
+
+
+@pytest.mark.parametrize(
+    "rows,blocks",
+    [
+        # companion matrix C of x^2 + x + 1 twice, or with an identity block above
+        ([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]], (1, 1)),
+        ([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1]], (2,)),
+    ],
+)
+def test_jordan_types_over_quadratic_eigenvalues(rows, blocks):
+    group = gl_group(2, 4)
+    g = Mat.from_ints(group.field, rows)
+    assert group.charpoly(g) == poly_pow(group.field, (0, 0, 0), 2)  # (x^2 + x + 1)^2
+    assert group.class_key(g) == ClassKey(2, 1, blocks)
+    assert _oracle_key(group, g) == ClassKey(2, 1, blocks)
 
 
 def test_singer_decomposition():
