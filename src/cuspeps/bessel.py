@@ -160,12 +160,14 @@ def contragredient_table(table: BesselTable) -> BesselTable:
 
 
 def mat_mul(a, b):
-    n = len(a)
+    """Product of square matrices of cyclotomic numbers, skipping zero factors."""
+    cols = list(zip(*b))
     return tuple(
         tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), zero()) for j in range(n)
+            sum((x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())), zero())
+            for col in cols
         )
-        for i in range(n)
+        for row in a
     )
 
 

@@ -170,12 +170,19 @@ def inner_product(
 def induced_psi_character(
     group: GLGroup, kind: str, psi: AdditiveChar, g: Mat
 ) -> CycloNumber:
-    """Character of Ind_U^M(psi_U) at g, by the coset sum over M/U."""
-    acc = zero()
-    for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind)):
-        h = c * g * c_inv
-        if group.contains(UNIPOTENT, h):
-            acc = acc + group.psi_u(h, psi)
+    """Character of Ind_U^M(psi_U) at g, by the coset sum over M/U.
+
+    The value depends on no cuspidal, so each sum runs once per (group, kind,
+    psi, g) and is kept in ``group.induced_psi_values``."""
+    values = group.induced_psi_values.setdefault((kind, psi), {})
+    acc = values.get(g)
+    if acc is None:
+        acc = zero()
+        for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind)):
+            h = c * g * c_inv
+            if group.contains(UNIPOTENT, h):
+                acc = acc + group.psi_u(h, psi)
+        values[g] = acc
     return acc
 
 

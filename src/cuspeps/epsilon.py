@@ -61,7 +61,9 @@ __all__ = [
 MAX_ROOT_ORDER = 1000
 
 # Largest cyclotomic order SMonomial.from_dict accepts for the coefficient of
-# an input document, for the same reason: Phi_m is built as lists of length m.
+# an input document, and epsilon_transfer for the coefficient times the
+# weight zeta * w1 * w2, for the same reason: Phi_m is built as lists of
+# length m.
 MAX_COEFF_ORDER = 10**6
 
 
@@ -431,9 +433,15 @@ def epsilon_transfer(eps_tame: SMonomial, data: TransferData) -> SMonomial:
     base = _integer_root(eps_tame.qbase, f)
     rebased = eps_tame.rebase(base)
     shift = data.r * data.vnu * data.N // data.e
-    weight = (data.zeta * data.w1 * data.w2).value()
+    weight = data.zeta * data.w1 * data.w2
+    order = lcm(rebased.coeff.m, weight.order)
+    if order > MAX_COEFF_ORDER:
+        raise ValueError(
+            f"the weight zeta*w1*w2 of order {weight.order} times a coefficient of order "
+            f"{rebased.coeff.m} has order {order}, over {MAX_COEFF_ORDER}"
+        )
     return SMonomial(
-        rebased.coeff * weight,
+        rebased.coeff * weight.value(),
         base,
         rebased.half_exp - shift,
         rebased.s_coeff + shift,

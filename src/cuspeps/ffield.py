@@ -7,6 +7,10 @@ Zech table (``zech[l] = log(1 + g^l)``) addition is a single lookup, and the
 group sums downstream are multiplication-heavy, so this representation keeps
 the inner loops cheap.
 
+For the matrix products of :mod:`cuspeps.glq` each field also builds, on
+first use, q x q addition and multiplication tables (:meth:`FieldSpec.tables`)
+whose last slot holds 0, so a lookup needs no test for ZERO.
+
 The modulus is the primitive monic polynomial of degree k whose coefficient
 vector, read as an integer ``sum(c_i * p^i)``, is smallest.  That makes every
 table reproducible from (p, k) alone.
@@ -96,6 +100,7 @@ class FieldSpec:
         "_prime_decode",
         "_embed_mult",
         "_neg_shift",
+        "_tables",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...], powers: list[tuple[int, ...]]):
@@ -119,6 +124,7 @@ class FieldSpec:
         self._prime_decode = {e: c for c, e in enumerate(embed)}
         self._embed_mult: dict[tuple[int, int], int] = {}
         self._neg_shift = 0 if p == 2 else (self.q - 1) // 2
+        self._tables = None
 
     # -- arithmetic on logs --------------------------------------------
 
@@ -131,6 +137,26 @@ class FieldSpec:
         if z == ZERO:
             return ZERO
         return (a + z) % (self.q - 1)
+
+    def tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(add, mul) as q x q tables indexed by log, ZERO in the last slot.
+
+        Built on first use by slicing, not by q^2 calls: row a of ``mul`` is
+        the slots rotated by a, and g^a + g^b = g^a * (1 + g^(b-a)) makes row
+        a of ``add`` row a of ``mul`` read at the Zech table rotated by a.
+        Every entry is one of the q objects of ``slots``, so the two tables
+        hold 2 q^2 references (about 270 MB at q = 4096)."""
+        if self._tables is None:
+            n = self.q - 1
+            slots = (*range(n), ZERO)
+            mul = tuple(slots[a:n] + slots[:a] + (ZERO,) for a in range(n)) + ((ZERO,) * self.q,)
+            zech = self.zech
+            add = tuple(
+                tuple(map(mul[a].__getitem__, zech[n - a:] + zech[:n - a])) + (slots[a],)
+                for a in range(n)
+            ) + (slots,)
+            self._tables = (add, mul)
+        return self._tables
 
     def neg(self, a: int) -> int:
         if a == ZERO:

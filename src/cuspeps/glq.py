@@ -25,11 +25,19 @@ cofactors of the first r - 1 rows as coefficients; those are computed once
 per prefix, so each last row costs one characteristic polynomial of at most
 r^2 field operations, and its constant term tells whether g is invertible.
 The Jordan partition is computed only when r/d >= 2.
+
+``Mat.__mul__`` looks every entry up in the field's q x q tables
+(:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
+the logs a and b, slot e < q - 1 standing for g^e and the last slot for 0,
+so ZERO = -1 reaches it by negative indexing.  The product of two r x r
+matrices is one straight-line function per r, generated on first use, in
+which each entry is a chain of r table lookups.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cyclo import CycloNumber
@@ -78,19 +86,13 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         F = self.field
-        n = self.r
-        orows = other.rows
-        out = []
-        for i in range(n):
-            srow = self.rows[i]
-            orow = []
-            for j in range(n):
-                acc = ZERO
-                for k in range(n):
-                    acc = F.add(acc, F.mul(srow[k], orows[k][j]))
-                orow.append(acc)
-            out.append(orow)
-        return Mat(F, out)
+        rows = self.rows
+        product = _PRODUCTS.get(len(rows)) or _build_product(len(rows))
+        out = object.__new__(Mat)
+        out.field = F
+        out.rows = product(*F.tables(), rows, other.rows)
+        out._det = None
+        return out
 
     def det(self) -> int:
         if self._det is None:
@@ -125,6 +127,32 @@ class Mat:
 
     def __repr__(self):
         return "Mat(" + "; ".join(",".join(FieldSpec.format_element(e) for e in row) for row in self.rows) + ")"
+
+
+_PRODUCTS: dict[int, Callable] = {}
+
+
+def _build_product(r: int) -> Callable:
+    """The r x r product over a field's (add, mul) tables, as straight-line code.
+
+    Entry (i, j) is one chain add[..add[mul[a_i0][b_0j]][mul[a_i1][b_1j]]..]
+    with no calls and no loops; the source is generated once per r and
+    compiled, as collections.namedtuple builds its classes."""
+    def unpack(x):
+        return "[" + ", ".join("[" + ", ".join(f"{x}{i}_{j}" for j in range(r)) + "]" for i in range(r)) + "]"
+
+    def entry(i, j):
+        expr = f"mul[a{i}_0][b0_{j}]"
+        for k in range(1, r):
+            expr = f"add[{expr}][mul[a{i}_{k}][b{k}_{j}]]"
+        return expr
+
+    rows = "".join("(" + "".join(entry(i, j) + ", " for j in range(r)) + "), " for i in range(r))
+    source = f"def product(add, mul, a, b):\n    {unpack('a')} = a\n    {unpack('b')} = b\n    return ({rows})\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    product = _PRODUCTS[r] = namespace["product"]
+    return product
 
 
 def _det(F: FieldSpec, rows: list[list[int]]) -> int:
@@ -290,6 +318,9 @@ class GLGroup:
         self._coset_cache: dict[str, tuple[Mat, ...]] = {}
         self._coset_inv_cache: dict[str, tuple[Mat, ...]] = {}
         self._subgroup_cache: dict[str, tuple[Mat, ...]] = {}
+        # (kind, psi) -> {g: character of Ind_U^kind(psi_U) at g}, filled by
+        # cusp.induced_psi_character, which depends on no cuspidal
+        self.induced_psi_values: dict[tuple[str, AdditiveChar], dict[Mat, CycloNumber]] = {}
 
     # -- sizes ---------------------------------------------------------
 

@@ -160,3 +160,23 @@ def test_degree_sum_bound():
         group = gl_group(q, r)
         total = sum(s.dim() ** 2 for s in list_cuspidals(group))
         assert total < group.order()
+
+
+def test_induced_character_is_computed_once_per_group_kind_psi(monkeypatch):
+    group = gl_group(3, 2)
+    psi = AdditiveChar(group.field, 0)
+    first, *rest = list_cuspidals(group)
+    assert mirabolic_restriction_check(first, psi)
+    assert gelfand_graev_mult(first, psi) == 1
+    products = []
+    original = Mat.__mul__
+
+    def counting_mul(self, other):
+        products.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counting_mul)
+    for sigma in rest:
+        assert mirabolic_restriction_check(sigma, psi)
+        assert gelfand_graev_mult(sigma, psi) == 1
+    assert products == []

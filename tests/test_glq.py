@@ -5,7 +5,7 @@ import pytest
 
 from cuspeps import cli
 from cuspeps.cyclo import root_of_unity
-from cuspeps.ffield import ZERO, AdditiveChar, subfield_embed
+from cuspeps.ffield import ZERO, AdditiveChar, build_field, subfield_embed
 from cuspeps.glq import (
     FULL,
     MIRABOLIC,
@@ -358,3 +358,71 @@ def test_subgroup_spec():
     assert not group.contains(MIRABOLIC, group.singer_matrix(1))
     with pytest.raises(ValueError):
         group.subgroup_order("borel")
+
+
+# -- the table-driven product ------------------------------------------------
+
+SMALL_FIELDS = [(p, k) for p in range(2, 65) for k in range(1, 7)
+                if all(p % d for d in range(2, p)) and p**k <= 64]
+
+
+def _triple_loop_product(a: Mat, b: Mat):
+    """Reference product: a triple loop with one F.add and one F.mul per term."""
+    F, n = a.field, a.r
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for k in range(n):
+                acc = F.add(acc, F.mul(a.rows[i][k], b.rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _random_invertible(group, rng):
+    elems = list(group.field.elements())
+    while True:
+        m = Mat(group.field, [[rng.choice(elems) for _ in range(group.r)] for _ in range(group.r)])
+        if m.det() != ZERO:
+            return m
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_field_tables_match_field_ops(p, k):
+    F = build_field(p, k)
+    add, mul = F.tables()
+    assert len(add) == len(mul) == F.q
+    for a in F.elements():
+        assert len(add[a]) == len(mul[a]) == F.q
+        for b in F.elements():
+            assert add[a][b] == F.add(a, b)
+            assert mul[a][b] == F.mul(a, b)
+
+
+@pytest.mark.parametrize("q", sorted(p**k for p, k in SMALL_FIELDS))
+def test_product_matches_triple_loop_gl1(q):
+    elems = gl_group(q, 1).elements(FULL)
+    for a in elems:
+        for b in elems:
+            assert (a * b).rows == _triple_loop_product(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_product_matches_triple_loop_gl2_every_pair(q):
+    elems = gl_group(q, 2).elements(FULL)
+    for a in elems:
+        for b in elems:
+            assert (a * b).rows == _triple_loop_product(a, b)
+
+
+@pytest.mark.parametrize("q,r", [(7, 2), (8, 2), (9, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_product_matches_triple_loop_sampled(q, r):
+    group = gl_group(q, r)
+    rng = random.Random(1000 * q + r)
+    for _ in range(2000):
+        a, b = _random_invertible(group, rng), _random_invertible(group, rng)
+        product = a * b
+        assert product.rows == _triple_loop_product(a, b)
+        assert isinstance(product.rows, tuple) and all(isinstance(row, tuple) for row in product.rows)

@@ -3,7 +3,9 @@
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the integer rewrite of ``cyclo``; the
 character tables of GL_3(F_2), GL_3(F_3) and GL_4(F_2) were recorded before
-the one-pass class map.  Any change to an exact value, to the JSON/CSV
+the one-pass class map, and the four ``verify`` reports on GL_2(F_3),
+GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded before
+the table-driven matrix product.  Any change to an exact value, to the JSON/CSV
 layout, to the order or count of conjugacy classes or to a float printed
 from an embedding shows up here.
 """
@@ -34,6 +36,10 @@ CASES = {
     "cuspidals-gl4-f2-csv": ("cuspidals", "--q", "2", "--r", "4", "--format", "csv"),
     "bessel": ("bessel", "--q", "3", "--r", "2", "--theta", "1"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
+    "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
+    "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
+    "verify-cusp-gl2-f5": ("verify", "--suite", "cusp", "--q", "5", "--r", "2", "--seed", "11"),
+    "verify-glq-gl3-f2": ("verify", "--suite", "glq", "--q", "2", "--r", "3", "--seed", "33"),
 }
 
 DIGESTS = {
@@ -49,7 +55,11 @@ DIGESTS = {
     "epsilon-gl2-f5": "a4ae58b304059b6e31186bc6c2dfffaaad8b6c21802d5ace23820e4b7cfadc3c",
     "epsilon-gl3-f2": "0f6ab86dbf947bffd395ea8f315de768202ecfe91b798cc8dd9d3196dcd59d1c",
     "readme-pipe": "136faba33ea6f904e453b0147daae17e4b989329cb84af6a59b2619e67811425",
+    "verify-bessel-gl2-f3": "8d3bd8a854361c693b94756355e6062fb1e36059a4e53a8702d8db8b5a33869e",
+    "verify-cusp-gl2-f5": "5b707617e3811aa666cce534f0898cfd049408552ad71019f2370ad0d847bdae",
     "verify-cyclo": "c1a3273c3602aa9d8211173a5757012ab0c577d9ce2abb88960748ac79cbca54",
+    "verify-glq-gl3-f2": "2029c4e828bfbf45381bfb97605e8e4807d391badee465f996d933b73e0d7196",
+    "verify-realization-gl2-f3": "472a3f1d82a48c5eab8dc1b90a8db0af250181e4a60202a9878f6088c1a100ef",
 }
 
 
