@@ -20,22 +20,23 @@ lumped into a single non-primary key, which is all the cuspidal character
 formula needs (it vanishes there).
 
 :meth:`GLGroup.class_map` counts the elements of every key in one pass over
-all r x r matrices.  det(x*I - g) is linear in the last row of g, with the
-cofactors of the first r - 1 rows as coefficients; those are computed once
-per prefix, so each last row costs one characteristic polynomial of at most
-r^2 field operations, and its constant term tells whether g is invertible.
-The Jordan partition is computed only when r/d >= 2.
+all r x r matrices.  det(x*I - g) is linear in the last row of g, so it is
+two generated functions: ``prefix`` reads the first r - 1 rows once, and
+``last`` adds in each last row with at most r^2 lookups; the constant term
+tells whether g is invertible.  The Jordan partition is computed only when
+r/d >= 2.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
 the logs a and b, slot e < q - 1 standing for g^e and the last slot for 0,
 so ZERO = -1 reaches it by negative indexing.  The product of two r x r
 matrices is one straight-line function per r, generated on first use, in
-which each entry is a chain of r table lookups.
+which each entry is a chain of r table lookups; so are ``prefix`` and ``last``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -95,8 +96,10 @@ class Mat:
         return out
 
     def det(self) -> int:
+        """(-1)^r times the constant term of the characteristic polynomial."""
         if self._det is None:
-            self._det = _det(self.field, [list(r) for r in self.rows])
+            c = _charpoly(self.field, self.rows)[0]
+            self._det = c if len(self.rows) % 2 == 0 else self.field.neg(c)
         return self._det
 
     def inv(self) -> "Mat":
@@ -155,23 +158,76 @@ def _build_product(r: int) -> Callable:
     return product
 
 
-def _det(F: FieldSpec, rows: list[list[int]]) -> int:
-    n = len(rows)
-    det = 0  # log of 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != ZERO), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = F.neg(det)
-        det = F.mul(det, rows[col][col])
-        inv_p = F.inv(rows[col][col])
-        for i in range(col + 1, n):
-            if rows[i][col] != ZERO:
-                f = F.mul(rows[i][col], inv_p)
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[col])]
-    return det
+_CHARPOLYS: dict[int, tuple[Callable, Callable]] = {}
+
+
+def _build_charpoly(r: int) -> tuple[Callable, Callable]:
+    """``prefix(tables, rows)`` and ``last(tables, pre, v)``: det(x*I - g) as straight-line code.
+
+    prefix reads the first r - 1 rows of g, last adds in the last row v.  Both
+    follow Berkowitz's division-free recurrence: bordering a k x k block M with
+    charpoly p_0 = 1, ..., p_k (top down) by a row R, a column C and a corner a
+    gives c_n = p_n - a p_(n-1) - sum_m p_m R M^(n-2-m) C, which is linear in
+    the last row; prefix returns the coefficient of each v_j in each c_n.
+    O(r^4) lines, each one chain of lookups bound to a local."""
+    zero, one, minus_one = repr(ZERO), "0", "m1"  # folded constants; tables = (add, mul, m1)
+    lines: list[str] = []
+    negs = {zero: zero, one: minus_one, minus_one: one}
+
+    def bind(expr):
+        if expr in negs or expr.isidentifier():
+            return expr
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
+
+    def times(a, b):
+        for x, y in ((a, b), (b, a)):
+            if x == zero or y == one:
+                return x
+            if x == minus_one:
+                return negs.get(y, f"neg[{y}]")
+        return f"mul[{a}][{b}]"
+
+    def plus(terms):
+        return functools.reduce(lambda acc, t: f"add[{acc}][{t}]", [t for t in terms if t != zero] or [zero])
+
+    a = [[f"a{i}_{j}" for j in range(r)] for i in range(r - 1)]
+    p = [one]
+    for k in range(r):
+        powers = [[a[i][k] for i in range(k)]] if k else []  # M^l C for l < k
+        while len(powers) < k:
+            powers.append([bind(plus(times(a[i][j], powers[-1][j]) for j in range(k))) for i in range(k)])
+        negp = [bind(negs.get(c, f"neg[{c}]")) for c in p]
+        if k == r - 1:
+            break
+        s = [bind(plus(times(a[k][j], w[j]) for j in range(k))) for w in powers]
+        p = [bind(plus([p[n] if n <= k else zero, times(a[k][k], negp[n - 1]) if n else zero]
+                       + [times(negp[m], s[n - 2 - m]) for m in range(n - 1)])) for n in range(k + 2)]
+    # the last border, with v_(r-1) as the corner: c_n = base_n + sum_j v_j coef[j][n]
+    coef = [[zero] * 2 + [bind(plus(times(negp[m], powers[n - 2 - m][j]) for m in range(n - 1)))
+                          for n in range(2, r + 1)] for j in range(r - 1)]
+    coef.append([zero] + negp)
+    base = p + [zero]
+    shared = "(" + "".join(f"{x}, " for x in dict.fromkeys(base + sum(coef, [])) if x not in negs) + ")"
+    cp = [plus([base[n]] + [times(f"v{j}", coef[j][n]) for j in range(r)]) for n in range(r, -1, -1)]
+    source = (
+        "def prefix(tables, rows):\n    add, mul, m1 = tables\n    neg = mul[m1]\n"
+        f"    ({''.join('(' + ''.join(f'{x}, ' for x in row) + '), ' for row in a)}) = rows\n"
+        + "".join(f"    {line}\n" for line in lines) + f"    return {shared}\n"
+        f"def last(tables, pre, v):\n    add, mul, m1 = tables\n    neg = mul[m1]\n    {shared} = pre\n"
+        f"    ({''.join(f'v{j}, ' for j in range(r))}) = v\n    return ({''.join(f'{x}, ' for x in cp)})\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    kernel = _CHARPOLYS[r] = namespace["prefix"], namespace["last"]
+    return kernel
+
+
+def _charpoly(F: FieldSpec, rows) -> tuple:
+    """det(x*I - g) for the matrix g with these rows, low degree first."""
+    prefix, last = _CHARPOLYS.get(len(rows)) or _build_charpoly(len(rows))
+    tables = (*F.tables(), F.neg(0))
+    return last(tables, prefix(tables, rows[:-1]), rows[-1])
 
 
 def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
@@ -213,13 +269,6 @@ def poly_mul(F: FieldSpec, a, b):
                 if cb != ZERO:
                     out[i + j] = F.add(out[i + j], F.mul(ca, cb))
     return poly_trim(out)
-
-
-def poly_add(F: FieldSpec, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [ZERO] * (n - len(a))
-    b = list(b) + [ZERO] * (n - len(b))
-    return poly_trim(F.add(x, y) for x, y in zip(a, b))
 
 
 def poly_divmod(F: FieldSpec, a, b):
@@ -559,8 +608,8 @@ class GLGroup:
     # -- characteristic polynomial and class keys -------------------------
 
     def charpoly(self, g: Mat):
-        """det(x*I - g) as a monic polynomial over GF(q), expanded along the last row."""
-        return _charpoly_from(self.field, _last_row_cofactors(self.field, g.rows[:-1]), g.rows[-1])
+        """det(x*I - g) as a monic polynomial over GF(q), low degree first."""
+        return _charpoly(self.field, g.rows)
 
     def _canonical_eigenvalue(self, f) -> int:
         """Smallest discrete log among the roots of the irreducible f in GF(q^d)."""
@@ -631,26 +680,26 @@ class GLGroup:
         """key -> [element count, representative], over the full group.
 
         One pass over all r x r matrices in the enumeration order of
-        ``iterate(FULL)``: for each first r - 1 rows of full rank, the
-        cofactors of the last row of x*I - g are computed once, and every
-        last row then costs one charpoly of at most r^2 field operations,
-        whose constant term decides invertibility.  Counts are exact, keys
-        appear in first-appearance order and each representative is the
-        first element with its key."""
+        ``iterate(FULL)``: the generated ``prefix`` runs once for each first
+        r - 1 rows and ``last`` once for each last row; the constant term of
+        the charpoly decides invertibility, so singular matrices, including
+        all those with dependent first rows, are skipped there.  Counts are
+        exact, keys appear in first-appearance order and each representative
+        is the first element with its key."""
         if self._class_map is None:
             self._check_bound(FULL)
             F, r = self.field, self.r
+            prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
+            tables = (*F.tables(), F.neg(0))
             vectors = list(itertools.product(list(F.elements()), repeat=r))
             table: dict[ClassKey, list] = {}
-            for prefix in itertools.product(vectors, repeat=r - 1):
-                if _rank(F, [list(row) for row in prefix]) < r - 1:
-                    continue
-                cofactors = _last_row_cofactors(F, prefix)
-                for last in vectors:
-                    cp = _charpoly_from(F, cofactors, last)
+            for top in itertools.product(vectors, repeat=r - 1):
+                pre = prefix(tables, top)
+                for v in vectors:
+                    cp = last(tables, pre, v)
                     if cp[0] == ZERO:
                         continue
-                    rows = prefix + (last,)
+                    rows = top + (v,)
                     key = self._key_of(cp, rows)
                     slot = table.get(key)
                     if slot is None:
@@ -676,56 +725,6 @@ def _matrix_poly(F: FieldSpec, f, g: Mat) -> Mat:
             acc = Mat(F, rows)
         if k:
             acc = acc * g
-    return acc
-
-
-def _last_row_cofactors(F: FieldSpec, prefix):
-    """Shared part of det(x*I - g) for every g whose first r - 1 rows are prefix.
-
-    Expanding along the last row v gives cp(x) = x*C_{r-1}(x) - sum_j v_j*C_j(x),
-    with C_j the signed cofactors.  Returns x*C_{r-1} as r + 1 coefficients and,
-    for each j, the nonzero coefficients of -C_j as (degree, log) pairs."""
-    r = len(prefix) + 1
-    top = [
-        [poly_trim([F.neg(row[j])] + ([0] if i == j else [])) for j in range(r)]
-        for i, row in enumerate(prefix)
-    ]
-    minors = [_poly_det(F, [row[:j] + row[j + 1:] for row in top]) for j in range(r)]
-    negated = [  # -C_j = (-1)^(r + j) * minor_j
-        tuple((i, F.neg(c) if (r + j) % 2 else c) for i, c in enumerate(minor) if c != ZERO)
-        for j, minor in enumerate(minors)
-    ]
-    return (ZERO,) + minors[r - 1], negated
-
-
-def _charpoly_from(F: FieldSpec, cofactors, last) -> tuple:
-    """det(x*I - g) from the shared cofactors of the prefix and the last row of g."""
-    base, negated = cofactors
-    cp = list(base)
-    for v, terms in zip(last, negated):
-        if v != ZERO:
-            for i, c in terms:
-                cp[i] = F.add(cp[i], F.mul(v, c))
-    return tuple(cp)
-
-
-def _poly_det(F: FieldSpec, mat) -> tuple:
-    """Determinant of a matrix of polynomials, by cofactor expansion."""
-    n = len(mat)
-    if n == 0:
-        return (0,)
-    if n == 1:
-        return mat[0][0]
-    acc = (ZERO,)
-    sign_neg = False
-    for j in range(n):
-        if mat[0][j] != (ZERO,):
-            minor = [[mat[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-            term = poly_mul(F, mat[0][j], _poly_det(F, minor))
-            if sign_neg:
-                term = tuple(F.neg(c) for c in term)
-            acc = poly_add(F, acc, term)
-        sign_neg = not sign_neg
     return acc
 
 

@@ -269,8 +269,9 @@ def glq_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
             for u1 in unip
             for u2 in unip
         )
+        pairs = [(u, u.inv()) for u in unip]
         comm_ok = all(
-            group.psi_u(u1 * u2 * u1.inv() * u2.inv(), psi) == 1 for u1 in unip for u2 in unip
+            group.psi_u(u1 * u2 * v1 * v2, psi) == 1 for u1, v1 in pairs for u2, v2 in pairs
         )
         checks.append(Check("glq", f"psi_U homomorphism GL_{rr}(F_{qq})", hom_ok and comm_ok))
     return checks
@@ -391,12 +392,11 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         return checks
     group = gl_group(3, 2)
     psi = _std_psi(group)
+    pairs = [(g, g.inv()) for g in group.elements(FULL)]
     for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
         dual = get_evaluator(contragredient(sigma), psi.conjugate())
-        ok = all(
-            dual(g) == ev(g.inv()) and dual(g) == ev(g).conjugate() for g in group.elements(FULL)
-        )
+        ok = all(dual(g) == ev(g_inv) and dual(g) == ev(g).conjugate() for g, g_inv in pairs)
         checks.append(
             Check("bessel", f"contragredient table identities orbit {sigma.orbit[0]}", ok)
         )

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cuspeps
 from cuspeps import cli
 from cuspeps.epsilon import MAX_ROOT_ORDER, RootOfUnity
 
@@ -178,3 +182,19 @@ def test_byte_stable_output(capsys):
         _, out, _ = run_cli(capsys, "bessel", "--q", "3", "--r", "2", "--theta", "1", "--format", "csv")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("cuspidals", "--q", "2", "--r", "2"), False),
+    (("epsilon", "--q", "3", "--r", "1", "--theta1", "1", "--theta2", "0"), False),
+    (("verify", "--suite", "cyclo"), True),
+])
+def test_only_verify_imports_the_suites(argv, loaded):
+    """A fresh process compiles cuspeps.verify only for the verify subcommand."""
+    src = os.path.dirname(os.path.dirname(cuspeps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys; from cuspeps import cli; code = cli.main(sys.argv[1:]); "
+              "sys.stderr.write(str('cuspeps.verify' in sys.modules)); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == str(loaded)

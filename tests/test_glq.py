@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -17,7 +18,6 @@ from cuspeps.glq import (
     Mat,
     conjugate_partition,
     gl_group,
-    poly_add,
     poly_eval,
     poly_mul,
     poly_pow,
@@ -121,6 +121,13 @@ def test_class_key_is_class_function(q, r):
 # sequence of f(g)^j with f(g) evaluated from the zero matrix.
 
 
+def _poly_add(F, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [ZERO] * (n - len(a))
+    b = list(b) + [ZERO] * (n - len(b))
+    return poly_trim(F.add(x, y) for x, y in zip(a, b))
+
+
 def _oracle_poly_det(F, mat):
     if len(mat) == 1:
         return mat[0][0]
@@ -130,7 +137,7 @@ def _oracle_poly_det(F, mat):
         term = poly_mul(F, entry, _oracle_poly_det(F, minor))
         if j % 2:
             term = tuple(F.neg(c) for c in term)
-        acc = poly_add(F, acc, term)
+        acc = _poly_add(F, acc, term)
     return acc
 
 
@@ -158,12 +165,37 @@ def _oracle_rank(F, rows):
     return rank
 
 
-def _oracle_blocks(group, g, f, d):
-    F, r = group.field, group.r
-    fg = Mat(F, [[ZERO] * r for _ in range(r)])
+def _oracle_matrix_poly(F, f, g):
+    """f(g) by Horner's rule from the zero matrix; f is low degree first."""
+    fg = Mat(F, [[ZERO] * g.r for _ in range(g.r)])
     for c in reversed(f):
         fg = fg * g
         fg = Mat(F, [[F.add(v, c) if i == j else v for j, v in enumerate(row)] for i, row in enumerate(fg.rows)])
+    return fg
+
+
+def _oracle_det(F, rows):
+    """Gaussian elimination, tracking the sign of each row swap."""
+    rows = [list(row) for row in rows]
+    n, det = len(rows), 0  # log of 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != ZERO), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = F.neg(det)
+        det = F.mul(det, rows[col][col])
+        for i in range(col + 1, n):
+            if rows[i][col] != ZERO:
+                f = F.div(rows[i][col], rows[col][col])
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[col])]
+    return det
+
+
+def _oracle_blocks(group, g, f, d):
+    F, r = group.field, group.r
+    fg = _oracle_matrix_poly(F, f, g)
     power, nullities = group.identity(), [0]
     while nullities[-1] < r // d:
         power = power * fg
@@ -426,3 +458,55 @@ def test_product_matches_triple_loop_sampled(q, r):
         product = a * b
         assert product.rows == _triple_loop_product(a, b)
         assert isinstance(product.rows, tuple) and all(isinstance(row, tuple) for row in product.rows)
+
+
+# -- the generated characteristic polynomial ----------------------------------
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_charpoly_matches_oracle_on_every_matrix(q, r):
+    """Singular matrices included: class_map reads cp(0) = ZERO as singular."""
+    group = gl_group(q, r)
+    F = group.field
+    for entries in itertools.product(list(F.elements()), repeat=r * r):
+        g = Mat(F, [entries[i * r:(i + 1) * r] for i in range(r)])
+        cp = group.charpoly(g)
+        assert cp == _oracle_charpoly(F, g)
+        assert (cp[0] == ZERO) == (_oracle_rank(F, g.rows) < r)
+        assert g.det() == _oracle_det(F, g.rows)
+
+
+@pytest.mark.parametrize("q", sorted(p**k for p, k in SMALL_FIELDS))
+def test_charpoly_matches_oracle_gl1(q):
+    group = gl_group(q, 1)
+    for g in group.elements(FULL):
+        assert group.charpoly(g) == _oracle_charpoly(group.field, g)
+
+
+@pytest.mark.parametrize("q,r,n", [(4, 3, 500), (3, 4, 300), (2, 5, 200), (2, 6, 40)])
+def test_charpoly_matches_oracle_sampled(q, r, n):
+    group = gl_group(q, r)
+    rng = random.Random(100 * q + r)
+    for _ in range(n):
+        g = _random_invertible(group, rng)
+        assert group.charpoly(g) == _oracle_charpoly(group.field, g)
+
+
+@pytest.mark.parametrize("q,r", [(2, 7), (3, 7), (2, 8)])
+def test_charpoly_large_r(q, r):
+    """Too large for the cofactor oracle: Cayley-Hamilton, trace and determinant."""
+    group = gl_group(q, r)
+    F = group.field
+    rng = random.Random(100 * q + r)
+    zero = Mat(F, [[ZERO] * r for _ in range(r)])
+    for _ in range(10):
+        g = _random_invertible(group, rng)
+        cp = group.charpoly(g)
+        assert len(cp) == r + 1 and cp[r] == 0
+        assert _oracle_matrix_poly(F, cp, g) == zero
+        trace = ZERO
+        for i in range(r):
+            trace = F.add(trace, g.rows[i][i])
+        assert cp[r - 1] == F.neg(trace)
+        det = _oracle_det(F, g.rows)
+        assert cp[0] == (det if r % 2 == 0 else F.neg(det))

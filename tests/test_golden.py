@@ -3,7 +3,8 @@
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the integer rewrite of ``cyclo``; the
 character tables of GL_3(F_2), GL_3(F_3) and GL_4(F_2) were recorded before
-the one-pass class map, and the four ``verify`` reports on GL_2(F_3),
+the one-pass class map, those of GL_3(F_4) and GL_2(F_9) before the generated
+characteristic polynomial, and the four ``verify`` reports on GL_2(F_3),
 GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded before
 the table-driven matrix product.  Any change to an exact value, to the JSON/CSV
 layout, to the order or count of conjugacy classes or to a float printed
@@ -34,6 +35,8 @@ CASES = {
     "cuspidals-gl3-f3-csv": ("cuspidals", "--q", "3", "--r", "3", "--format", "csv"),
     "cuspidals-gl4-f2-json": ("cuspidals", "--q", "2", "--r", "4", "--format", "json"),
     "cuspidals-gl4-f2-csv": ("cuspidals", "--q", "2", "--r", "4", "--format", "csv"),
+    "cuspidals-gl3-f4-csv": ("cuspidals", "--q", "4", "--r", "3", "--format", "csv"),
+    "cuspidals-gl2-f9-json": ("cuspidals", "--q", "9", "--r", "2", "--format", "json"),
     "bessel": ("bessel", "--q", "3", "--r", "2", "--theta", "1"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
     "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
@@ -49,6 +52,8 @@ DIGESTS = {
     "cuspidals-gl3-f2-json": "83ef6c7bfa96e0d4045457ab7f092af085688e150d24d46ae996024d33d6a819",
     "cuspidals-gl3-f3-csv": "769fa0273c4796d94834169db5e30a93495e6af973a8d03a43a9d51bec01fb3e",
     "cuspidals-gl3-f3-json": "27610f2402fb4517b8f7c44d94dca0c7d504ec398feeacdf7f721b08c8025103",
+    "cuspidals-gl3-f4-csv": "a7f0932771f7d128f70599779bd5e53b29628189c1264385c306d34e7a00a7e9",
+    "cuspidals-gl2-f9-json": "dd3c875ad6fe38fc79ca903153a02984b0f59205a9f92dfd501e29479a66f108",
     "cuspidals-gl4-f2-csv": "be49d69f353af8c813b7a727662b2bb3875ab0cd3d2b5c43bbd4acc8a27c4bd3",
     "cuspidals-gl4-f2-json": "8f1849647a51a392c279d1f01eed7c63ad54673d74adc5621ff85297c06d8d19",
     "epsilon-gl2-f4-t1": "463984aaa6d0260c15027eb099085b024289ad5b1de2c4e18c388f7804cc60a1",
