@@ -265,8 +265,7 @@ def gauss_pair_sum(
     j2 = get_evaluator(sigma2, psi)
     r = group.r
     acc = zero()
-    for h in group.coset_reps(FULL):
-        h_inv = h.inv()
+    for h, h_inv in zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL)):
         term = j1(h_inv) * j2(h_inv).conjugate()
         if not term.is_zero():
             acc = acc + psi.eval(h.rows[r - 1][0]) * term

@@ -13,18 +13,19 @@ orders are fixed and documented:
   GF(q^r)^x, from 0 to q^r - 2.
 
 Conjugacy classes enter only through :class:`ClassKey`: a class is "primary"
-when its characteristic polynomial is a power of a single irreducible f of
-degree d, and is then recorded by d, the smallest discrete log among the
-roots of f in GF(q^d), and the Jordan block partition.  Everything else is
-lumped into a single non-primary key, which is all the cuspidal character
-formula needs (it vanishes there).
+when the eigenvalues of g form one Frobenius orbit of length d in GF(q^d)^x,
+and is then recorded by d, the smallest discrete log eig in the orbit, and
+the Jordan block partition of r/d.  Everything else is lumped into a single
+non-primary key, which is all the cuspidal character formula needs (it
+vanishes there).  The primary characteristic polynomials are those of the
+Singer matrices of the orbits' smallest elements; the Jordan partition comes
+from the nullities of (g - x)^j over GF(q^d), x = g^eig, when r/d >= 2.
 
 :meth:`GLGroup.class_map` counts the elements of every key in one pass over
 all r x r matrices.  det(x*I - g) is linear in the last row of g, so it is
 two generated functions: ``prefix`` reads the first r - 1 rows once, and
 ``last`` adds in each last row with at most r^2 lookups; the constant term
-tells whether g is invertible.  The Jordan partition is computed only when
-r/d >= 2.
+tells whether g is invertible.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
@@ -42,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cyclo import CycloNumber
-from .ffield import ZERO, AdditiveChar, FieldSpec, build_field, subfield_embed
+from .ffield import ZERO, AdditiveChar, FieldSpec, build_field, frobenius_orbit, subfield_embed
 
 __all__ = [
     "Mat",
@@ -251,64 +252,6 @@ def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
     return rank
 
 
-# -- polynomials over GF(q), coefficients low-degree-first as logs ----------
-
-
-def poly_trim(cs):
-    cs = list(cs)
-    while len(cs) > 1 and cs[-1] == ZERO:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_mul(F: FieldSpec, a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca != ZERO:
-            for j, cb in enumerate(b):
-                if cb != ZERO:
-                    out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-    return poly_trim(out)
-
-
-def poly_divmod(F: FieldSpec, a, b):
-    b = poly_trim(b)
-    if b == (ZERO,):
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(poly_trim(a))
-    db, lead = len(b) - 1, b[-1]
-    if len(a) - 1 < db:
-        return (ZERO,), poly_trim(a)
-    quot = [ZERO] * (len(a) - db)
-    while len(a) - 1 >= db and poly_trim(a) != (ZERO,):
-        da = len(a) - 1
-        if a[da] == ZERO:
-            a.pop()
-            continue
-        c = F.div(a[da], lead)
-        quot[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = F.sub(a[da - db + i], F.mul(c, b[i]))
-        a.pop()
-        if not a:
-            break
-    return poly_trim(quot), poly_trim(a if a else [ZERO])
-
-
-def poly_pow(F: FieldSpec, a, n: int):
-    out = (0,)
-    for _ in range(n):
-        out = poly_mul(F, out, a)
-    return out
-
-
-def poly_eval(F: FieldSpec, coeffs, x: int) -> int:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 # -- conjugacy keys ----------------------------------------------------------
 
 
@@ -359,10 +302,8 @@ class GLGroup:
         self._ext: dict[int, FieldSpec] = {1: field, r: self.big_field}
         self._singer_coeffs: list[tuple[int, ...]] | None = None
         self._singer_index: dict[tuple[int, ...], int] | None = None
-        self._irreducibles: dict[int, tuple] = {}
-        self._primary_powers: dict[tuple, tuple] | None = None
+        self._primary: dict[tuple, tuple[int, int]] | None = None
         self._key_cache: dict[Mat, ClassKey] = {}
-        self._eig_cache: dict[tuple, int] = {}
         self._class_map: dict[ClassKey, list] | None = None
         self._coset_cache: dict[str, tuple[Mat, ...]] = {}
         self._coset_inv_cache: dict[str, tuple[Mat, ...]] = {}
@@ -574,57 +515,11 @@ class GLGroup:
             self._coset_inv_cache[kind] = tuple(c.inv() for c in self.coset_reps(kind))
         return self._coset_inv_cache[kind]
 
-    # -- irreducible polynomial inventory ----------------------------------
-
-    def irreducibles(self, d: int) -> tuple:
-        """All monic irreducibles of degree d over GF(q), in enumeration order."""
-        if d in self._irreducibles:
-            return self._irreducibles[d]
-        F = self.field
-        elems = list(F.elements())
-        out = []
-        lower = [self.irreducibles(e) for e in range(1, d)]
-        for tail in itertools.product(elems, repeat=d):
-            poly = tuple(tail) + (0,)
-            if d > 1 and poly[0] == ZERO:
-                continue  # divisible by x
-            reducible = False
-            for polys in lower:
-                for f in polys:
-                    if len(f) - 1 > d // 2:
-                        break
-                    _, rem = poly_divmod(F, poly, f)
-                    if rem == (ZERO,):
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if not reducible:
-                out.append(poly)
-        res = tuple(out)
-        self._irreducibles[d] = res
-        return res
-
     # -- characteristic polynomial and class keys -------------------------
 
     def charpoly(self, g: Mat):
         """det(x*I - g) as a monic polynomial over GF(q), low degree first."""
         return _charpoly(self.field, g.rows)
-
-    def _canonical_eigenvalue(self, f) -> int:
-        """Smallest discrete log among the roots of the irreducible f in GF(q^d)."""
-        if f in self._eig_cache:
-            return self._eig_cache[f]
-        d = len(f) - 1
-        ext = self.ext_field(d)
-        coeffs = [subfield_embed(c, self.field, ext) for c in f]
-        roots = [e for e in range(ext.q - 1) if poly_eval(ext, coeffs, e) == ZERO]
-        if poly_eval(ext, coeffs, ZERO) == ZERO:
-            roots.append(ZERO)
-        assert len(roots) == d, "an irreducible of degree d must split in GF(q^d)"
-        best = min(roots)
-        self._eig_cache[f] = best
-        return best
 
     def class_key(self, g: Mat) -> ClassKey:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
@@ -637,42 +532,57 @@ class GLGroup:
         self._key_cache[g] = key
         return key
 
+    def _primary_classes(self) -> dict[tuple, tuple[int, int]]:
+        """charpoly -> (d, eig) for the primary classes, read off the Singer torus.
+
+        A primary charpoly is f^(r/d) for an irreducible f != x of degree d | r,
+        and f is the minimal polynomial of a Frobenius orbit of length d in
+        GF(q^d)^x.  So each such orbit, named by its smallest log y in GF(q^d),
+        gives one entry: the charpoly of the Singer matrix of y (embedded in
+        GF(q^r)) is minpoly(y)^(r/d), and eig = y."""
+        if self._primary is None:
+            K, primary = self.big_field, {}
+            for d in range(1, self.r + 1):
+                if self.r % d:
+                    continue
+                ext = self.ext_field(d)
+                for y in range(ext.q - 1):
+                    orbit = frobenius_orbit(y, self.q, ext.q - 1)
+                    if orbit[0] == y and len(orbit) == d:
+                        primary[self.charpoly(self.singer_matrix(subfield_embed(y, ext, K)))] = (d, y)
+            self._primary = primary
+        return self._primary
+
     def _key_of(self, cp, rows) -> ClassKey:
         """Class key of the invertible matrix with these rows and charpoly cp."""
-        if self._primary_powers is None:
-            self._primary_powers = {
-                poly_pow(self.field, f, self.r // d): (d, f)
-                for d in range(1, self.r + 1)
-                if self.r % d == 0
-                for f in self.irreducibles(d)
-            }
-        hit = self._primary_powers.get(cp)
+        hit = self._primary_classes().get(cp)
         if hit is None:
             return NON_PRIMARY
-        d, f = hit
-        blocks = (1,) if d == self.r else self._jordan_blocks(Mat(self.field, rows), f, d)
-        return ClassKey(d, self._canonical_eigenvalue(f), blocks)
+        d, eig = hit
+        return ClassKey(d, eig, (1,) if d == self.r else self._jordan_blocks(rows, d, eig))
 
-    def _jordan_blocks(self, g: Mat, f, d: int) -> tuple[int, ...]:
-        """Jordan partition of r/d from the nullity sequence of f(g)^j.
+    def _jordan_blocks(self, rows, d: int, eig: int) -> tuple[int, ...]:
+        """Jordan partition of r/d from the nullity sequence of (g - x)^j over GF(q^d).
 
-        Entry j of the sequence counts the blocks of size at least j.  Once a
-        step adds at most one block, that block takes the rest of r/d."""
-        F, r, n = self.field, self.r, self.r // d
-        fg = _matrix_poly(F, f, g)
-        power = fg
+        x = g^eig is one of the d roots of the primary polynomial f, so the
+        nullity of (g - x)^j is that of f(g)^j over GF(q) divided by d.  Entry
+        j of the sequence counts the blocks of size at least j.  Once a step
+        adds at most one block, that block takes the rest of r/d."""
+        F, ext, r, n = self.field, self.ext_field(d), self.r, self.r // d
+        entries = [[subfield_embed(v, F, ext) for v in row] for row in rows]
+        for i in range(r):
+            entries[i][i] = ext.sub(entries[i][i], eig)
+        gx = power = Mat(ext, entries)
         diffs: list[int] = []
         seen = 0
         while True:
-            nullity = r - _rank(F, [list(row) for row in power.rows])
-            assert nullity % d == 0
-            step = nullity // d - seen
+            step = r - _rank(ext, [list(row) for row in power.rows]) - seen
             diffs.append(step)
             seen += step
             if step <= 1 or seen == n:
                 diffs.extend([1] * (n - seen))
                 return conjugate_partition(diffs)
-            power = power * fg
+            power = power * gx
 
     # -- class map ---------------------------------------------------------
 
@@ -712,20 +622,6 @@ class GLGroup:
 
     def identity(self) -> Mat:
         return Mat.identity(self.field, self.r)
-
-
-def _matrix_poly(F: FieldSpec, f, g: Mat) -> Mat:
-    """f(g) for a monic f of degree >= 1, by Horner's rule starting from g."""
-    acc = g
-    for k in range(len(f) - 2, -1, -1):
-        if f[k] != ZERO:
-            rows = [list(row) for row in acc.rows]
-            for i in range(g.r):
-                rows[i][i] = F.add(rows[i][i], f[k])
-            acc = Mat(F, rows)
-        if k:
-            acc = acc * g
-    return acc
 
 
 _GROUPS: dict[tuple[int, int, int], GLGroup] = {}

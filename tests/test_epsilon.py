@@ -93,6 +93,22 @@ def test_gauss_pair_sum_coset_independence():
     assert acc == reference
 
 
+def test_gauss_pair_sum_reuses_coset_inverses(monkeypatch):
+    group, psi, cusps = _setup(3, 2)
+    s1, s2 = cusps[0], cusps[1]
+    reference = gauss_pair_sum(s1, s2, psi)  # warms the caches
+    calls = []
+    original = Mat.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "inv", counting_inv)
+    assert gauss_pair_sum(s1, s2, psi) == reference
+    assert calls == []
+
+
 def test_gauss_pair_sum_modulus():
     group, psi, cusps = _setup(3, 2)
     value = gauss_pair_sum(cusps[0], cusps[1], psi)

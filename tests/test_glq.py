@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -18,11 +19,10 @@ from cuspeps.glq import (
     Mat,
     conjugate_partition,
     gl_group,
-    poly_eval,
-    poly_mul,
-    poly_pow,
-    poly_trim,
 )
+
+SMALL_FIELDS = [(p, k) for p in range(2, 65) for k in range(1, 7)
+                if all(p % d for d in range(2, p)) and p**k <= 64]
 
 
 def test_subgroup_counts():
@@ -117,15 +117,69 @@ def test_class_key_is_class_function(q, r):
 # -- independent classification oracle ------------------------------------
 #
 # Characteristic polynomial by full cofactor expansion of x*I - g, primary
-# polynomial by trying every f^(r/d), Jordan type from the whole nullity
-# sequence of f(g)^j with f(g) evaluated from the zero matrix.
+# polynomial by trying every f^(r/d) over a trial-division inventory of
+# irreducibles, Jordan type from the whole nullity sequence of f(g)^j with
+# f(g) evaluated from the zero matrix.  Polynomials are tuples of logs, low
+# degree first; the helpers are local so the oracle shares no code with glq.
+
+
+def _poly_trim(cs):
+    cs = list(cs)
+    while len(cs) > 1 and cs[-1] == ZERO:
+        cs.pop()
+    return tuple(cs)
 
 
 def _poly_add(F, a, b):
     n = max(len(a), len(b))
     a = list(a) + [ZERO] * (n - len(a))
     b = list(b) + [ZERO] * (n - len(b))
-    return poly_trim(F.add(x, y) for x, y in zip(a, b))
+    return _poly_trim(F.add(x, y) for x, y in zip(a, b))
+
+
+def _poly_mul(F, a, b):
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(ca, cb))
+    return _poly_trim(out)
+
+
+def _poly_pow(F, a, n):
+    out = (0,)
+    for _ in range(n):
+        out = _poly_mul(F, out, a)
+    return out
+
+
+def _poly_rem(F, a, b):
+    """a mod b for a monic b."""
+    a = list(a)
+    while len(a) >= len(b):
+        c = a.pop()
+        for i, cb in enumerate(b[:-1]):
+            k = len(a) - len(b) + 1 + i
+            a[k] = F.sub(a[k], F.mul(c, cb))
+    return _poly_trim(a or [ZERO])
+
+
+def _poly_eval(F, coeffs, x):
+    acc = ZERO
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_irreducibles(F, d):
+    """Monic irreducibles of degree d over F (x included for d = 1), by trial division."""
+    lower = [h for e in range(1, d // 2 + 1) for h in _oracle_irreducibles(F, e)]
+    out = []
+    for tail in itertools.product(list(F.elements()), repeat=d):
+        f = tail + (0,)
+        if all(_poly_rem(F, f, h) != (ZERO,) for h in lower):
+            out.append(f)
+    return tuple(out)
 
 
 def _oracle_poly_det(F, mat):
@@ -134,7 +188,7 @@ def _oracle_poly_det(F, mat):
     acc = (ZERO,)
     for j, entry in enumerate(mat[0]):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = poly_mul(F, entry, _oracle_poly_det(F, minor))
+        term = _poly_mul(F, entry, _oracle_poly_det(F, minor))
         if j % 2:
             term = tuple(F.neg(c) for c in term)
         acc = _poly_add(F, acc, term)
@@ -144,7 +198,7 @@ def _oracle_poly_det(F, mat):
 def _oracle_charpoly(F, g):
     r = g.r
     return _oracle_poly_det(F, [
-        [poly_trim([F.neg(g.rows[i][j])] + ([0] if i == j else [])) for j in range(r)]
+        [_poly_trim([F.neg(g.rows[i][j])] + ([0] if i == j else [])) for j in range(r)]
         for i in range(r)
     ])
 
@@ -206,7 +260,7 @@ def _oracle_blocks(group, g, f, d):
 def _oracle_eigenvalue(group, f):
     ext = group.ext_field(len(f) - 1)
     coeffs = [subfield_embed(c, group.field, ext) for c in f]
-    return min(e for e in range(ext.q - 1) if poly_eval(ext, coeffs, e) == ZERO)
+    return min(e for e in range(ext.q - 1) if _poly_eval(ext, coeffs, e) == ZERO)
 
 
 def _oracle_classify(group, g):
@@ -215,8 +269,8 @@ def _oracle_classify(group, g):
     cp = _oracle_charpoly(F, g)
     for d in range(1, r + 1):
         if r % d == 0:
-            for f in group.irreducibles(d):
-                if poly_pow(F, f, r // d) == cp:
+            for f in _oracle_irreducibles(F, d):
+                if _poly_pow(F, f, r // d) == cp:
                     return cp, ClassKey(d, _oracle_eigenvalue(group, f), _oracle_blocks(group, g, f, d))
     return cp, NON_PRIMARY
 
@@ -292,20 +346,70 @@ def test_jordan_types_of_explicit_matrices(q, blocks, lam, eig):
     assert _oracle_key(group, g) == ClassKey(1, eig, blocks)
 
 
+def _block_companion(q, f, blocks):
+    """A matrix over GF(q), q prime, with one elementary divisor f^k per block size k.
+
+    f is monic, low degree first, as integers.  A block of size k is k x k
+    copies of the companion matrix C(f) on the diagonal with identities just
+    above them, so its charpoly is f^k and it is one Jordan block per root."""
+    d = len(f) - 1
+    comp = [[int(j == i + 1) for j in range(d)] for i in range(d - 1)] + [[-c for c in f[:-1]]]
+    r = d * sum(blocks)
+    rows = [[0] * r for _ in range(r)]
+    at = 0
+    for size in blocks:
+        for b in range(size):
+            for i in range(d):
+                rows[at + i][at:at + d] = comp[i]
+                if b + 1 < size:
+                    rows[at + i][at + d + i] = 1
+            at += d
+    return Mat.from_ints(gl_group(q, r).field, rows)
+
+
 @pytest.mark.parametrize(
     "rows,blocks",
     [
-        # companion matrix C of x^2 + x + 1 twice, or with an identity block above
-        ([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]], (1, 1)),
-        ([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1]], (2,)),
+        (_block_companion(q, f, blocks), blocks)
+        for q, f, blocks in [
+            (2, (1, 1, 1), (1, 1)),  # x^2 + x + 1 over F_2, in GL_4 and GL_6
+            (2, (1, 1, 1), (2,)),
+            (2, (1, 1, 1), (3,)),
+            (2, (1, 1, 1), (2, 1)),
+            (2, (1, 1, 1), (1, 1, 1)),
+            (2, (1, 1, 0, 1), (2,)),  # x^3 + x + 1 over F_2, in GL_6
+            (2, (1, 1, 0, 1), (1, 1)),
+            (3, (1, 0, 1), (2,)),  # x^2 + 1 over F_3, in GL_4
+            (3, (1, 0, 1), (1, 1)),
+        ]
     ],
 )
 def test_jordan_types_over_quadratic_eigenvalues(rows, blocks):
-    group = gl_group(2, 4)
-    g = Mat.from_ints(group.field, rows)
-    assert group.charpoly(g) == poly_pow(group.field, (0, 0, 0), 2)  # (x^2 + x + 1)^2
-    assert group.class_key(g) == ClassKey(2, 1, blocks)
-    assert _oracle_key(group, g) == ClassKey(2, 1, blocks)
+    group = gl_group(rows.field.q, rows.r)
+    cp, key = _oracle_classify(group, rows)
+    assert key.d == rows.r // sum(blocks) > 1 and key.blocks == blocks
+    assert group.charpoly(rows) == cp
+    assert group.class_key(rows) == key
+
+
+@pytest.mark.parametrize(
+    "q,r",
+    [(q, 1) for q in sorted(p**k for p, k in SMALL_FIELDS)]
+    + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+    + [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 6)],
+)
+def test_primary_classes_match_oracle(q, r):
+    """The torus table is {f^(r/d): (d, smallest root log in GF(q^d))} over irreducible f != x."""
+    group = gl_group(q, r)
+    F = group.field
+    expected = {
+        _poly_pow(F, f, r // d): (d, _oracle_eigenvalue(group, f))
+        for d in range(1, r + 1)
+        if r % d == 0
+        for f in _oracle_irreducibles(F, d)
+        if f != (ZERO, 0)
+    }
+    assert group._primary_classes() == expected
 
 
 def test_singer_decomposition():
@@ -393,9 +497,6 @@ def test_subgroup_spec():
 
 
 # -- the table-driven product ------------------------------------------------
-
-SMALL_FIELDS = [(p, k) for p in range(2, 65) for k in range(1, 7)
-                if all(p % d for d in range(2, p)) and p**k <= 64]
 
 
 def _triple_loop_product(a: Mat, b: Mat):
