@@ -22,9 +22,9 @@ full table over GL_r costs about |G| * |U| class lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._frozen import Frozen, set_field
 from .cyclo import CycloNumber, zero
 from .cusp import CuspidalRep, contragredient
 from .ffield import AdditiveChar
@@ -97,14 +97,36 @@ def bessel_value(sigma: CuspidalRep, psi: AdditiveChar, g: Mat) -> CycloNumber:
     return get_evaluator(sigma, psi)(g)
 
 
-@dataclass
-class BesselTable:
+class BesselTable(Frozen):
     """Complete Bessel values over one subgroup domain."""
 
-    sigma: CuspidalRep
-    psi: AdditiveChar
-    domain: str
-    values: dict = field(default_factory=dict)
+    __slots__ = ("sigma", "psi", "domain", "values")
+
+    def __init__(
+        self, sigma: CuspidalRep, psi: AdditiveChar, domain: str, values: dict | None = None
+    ):
+        set_field(self, "sigma", sigma)
+        set_field(self, "psi", psi)
+        set_field(self, "domain", domain)
+        set_field(self, "values", {} if values is None else values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.sigma == other.sigma
+            and self.psi == other.psi
+            and self.domain == other.domain
+            and self.values == other.values
+        )
+
+    __hash__ = None  # the values dict is mutable
+
+    def __repr__(self):
+        return (
+            f"BesselTable(sigma={self.sigma!r}, psi={self.psi!r}, "
+            f"domain={self.domain!r}, values={self.values!r})"
+        )
 
     def __getitem__(self, g: Mat) -> CycloNumber:
         return self.values[g]

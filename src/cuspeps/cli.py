@@ -6,31 +6,28 @@ codes: 0 success (and all selected verification suites passing), 1
 verification failure, 2 usage error, 3 internal error (any other exception,
 reported in one line on stderr).  Output is byte-stable for fixed
 arguments: enumeration orders are fixed and JSON keys are sorted.
+
+Each command function imports the modules it runs, so that a process
+compiles only those: ``cuspidals``, for instance, never loads ``bessel``,
+``epsilon`` or ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from fractions import Fraction
 
-from .bessel import build_table
-from .cusp import list_cuspidals
-from .epsilon import (
-    LevelZeroRep,
-    RootOfUnity,
-    SMonomial,
-    TransferData,
-    epsilon_pair,
-    epsilon_transfer,
-    l_factor_pair,
-    zeta_tilde_oracle,
-)
 from .ffield import AdditiveChar, build_field
-from .glq import FULL, MIRABOLIC, UNIPOTENT, gl_group
+
+# Largest character table ``cuspidals`` writes, counted as cuspidals x
+# conjugacy keys x phi(q^r - 1), the most coefficient strings a value can
+# print.  All rows are built in memory before any is written: the largest
+# table under this bound, GL_1(F_125) at 922,560, takes 3.4 s and 220 MB as
+# JSON; GL_2(F_16), at 2,319,360, takes 8.7 s and 446 MB.
+MAX_TABLE_COEFFS = 10**6
 
 
 class UsageError(Exception):
@@ -47,6 +44,8 @@ def _emit(rows, fmt: str, out_path: str | None, csv_headers=None):
         text = json.dumps(rows, sort_keys=True, indent=1)
         data = text + "\n"
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_headers)
@@ -71,7 +70,9 @@ def _csv_cell(value):
     return value
 
 
-def _parse_root(text: str) -> RootOfUnity:
+def _parse_root(text: str):
+    from .epsilon import RootOfUnity
+
     try:
         return RootOfUnity.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -79,6 +80,8 @@ def _parse_root(text: str) -> RootOfUnity:
 
 
 def _group_psi(args):
+    from .glq import gl_group
+
     group = gl_group(args.q, args.r)
     psi = AdditiveChar(group.field, args.a)
     if not psi.nontrivial:
@@ -87,6 +90,8 @@ def _group_psi(args):
 
 
 def _cuspidal(group, exponent: int):
+    from .cusp import list_cuspidals
+
     for sigma in list_cuspidals(group):
         if exponent % (group.big_field.q - 1) in sigma.orbit:
             return sigma
@@ -113,11 +118,24 @@ def cmd_field(args):
 
 
 def cmd_cuspidals(args):
+    from .cusp import list_cuspidals
+    from .cyclo import cyclotomic_polynomial
+
     group, _ = _group_psi(args)
+    cuspidals = list_cuspidals(group)
+    class_map = group.class_map()
+    phi = len(cyclotomic_polynomial(group.big_field.q - 1)) - 1
+    size = len(cuspidals) * len(class_map) * phi
+    if size > MAX_TABLE_COEFFS:
+        raise UsageError(
+            f"the character table of GL_{group.r}(F_{group.q}) holds up to {size} coefficient "
+            f"strings ({len(cuspidals)} cuspidals x {len(class_map)} classes x {phi}), "
+            f"over {MAX_TABLE_COEFFS}"
+        )
     rows = []
-    for sigma in list_cuspidals(group):
+    for sigma in cuspidals:
         values = []
-        for key, (count, _rep) in group.class_map().items():
+        for key, (count, _rep) in class_map.items():
             val = sigma.char_value(key)
             values.append(
                 {
@@ -149,13 +167,14 @@ def cmd_cuspidals(args):
     return 0
 
 
-_DOMAINS = {"full": FULL, "mirabolic": MIRABOLIC, "u": UNIPOTENT}
-
-
 def cmd_bessel(args):
+    from .bessel import build_table
+    from .glq import FULL, MIRABOLIC, UNIPOTENT
+
     group, psi = _group_psi(args)
     sigma = _cuspidal(group, args.theta)
-    table = build_table(sigma, psi, _DOMAINS[args.domain])
+    domain = {"full": FULL, "mirabolic": MIRABOLIC, "u": UNIPOTENT}[args.domain]
+    table = build_table(sigma, psi, domain)
     rows = []
     for g, val in table.values.items():
         rows.append(
@@ -182,6 +201,8 @@ def cmd_bessel(args):
 
 
 def cmd_epsilon(args):
+    from .epsilon import LevelZeroRep, epsilon_pair, l_factor_pair, zeta_tilde_oracle
+
     group, psi = _group_psi(args)
     tau1 = LevelZeroRep(_cuspidal(group, args.theta1), _parse_root(args.t1))
     tau2 = LevelZeroRep(_cuspidal(group, args.theta2), _parse_root(args.t2))
@@ -212,6 +233,8 @@ def cmd_epsilon(args):
 
 
 def cmd_transfer(args):
+    from .epsilon import SMonomial, TransferData, epsilon_transfer
+
     if args.input == "-":
         raw = sys.stdin.read()
     else:
@@ -287,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bessel = sub.add_parser("bessel", help="tabulate a Bessel function")
     add_common(p_bessel)
     p_bessel.add_argument("--theta", type=int, required=True, help="regular character exponent")
-    p_bessel.add_argument("--domain", choices=sorted(_DOMAINS), default="full")
+    p_bessel.add_argument("--domain", choices=("full", "mirabolic", "u"), default="full")
     p_bessel.set_defaults(func=cmd_bessel)
 
     p_eps = sub.add_parser("epsilon", help="epsilon factor of a pair of level-zero representations")

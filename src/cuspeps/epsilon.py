@@ -26,10 +26,10 @@ oracle and the direct formula must agree as exact monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._frozen import Frozen, set_field
 from .bessel import get_evaluator
 from .cyclo import CycloNumber, one, root_of_unity, zero
 from .cusp import CuspidalRep
@@ -71,20 +71,29 @@ class OracleError(RuntimeError):
     """The zeta-integral recomputation contradicted a structural identity."""
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(Frozen):
     """zeta_order^exp, kept in lowest terms so inverses stay exact."""
 
-    order: int
-    exp: int
+    __slots__ = ("order", "exp")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, exp: int):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        e = self.exp % self.order
-        g = gcd(e, self.order) if e else self.order
-        object.__setattr__(self, "order", self.order // g)
-        object.__setattr__(self, "exp", e // g)
+        e = exp % order
+        g = gcd(e, order) if e else order
+        set_field(self, "order", order // g)
+        set_field(self, "exp", e // g)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.order, self.exp))
+
+    def __repr__(self):
+        return f"RootOfUnity(order={self.order!r}, exp={self.exp!r})"
 
     def value(self) -> CycloNumber:
         return root_of_unity(self.order, self.exp)
@@ -121,12 +130,25 @@ class RootOfUnity:
         return f"{self.exp}/{self.order}"
 
 
-@dataclass(frozen=True)
-class LevelZeroRep:
+class LevelZeroRep(Frozen):
     """A level-zero supercuspidal: cuspidal sigma plus the uniformizer value t."""
 
-    sigma: CuspidalRep
-    t: RootOfUnity = RootOfUnity(1, 0)
+    __slots__ = ("sigma", "t")
+
+    def __init__(self, sigma: CuspidalRep, t: RootOfUnity = RootOfUnity(1, 0)):
+        set_field(self, "sigma", sigma)
+        set_field(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sigma == other.sigma and self.t == other.t
+
+    def __hash__(self):
+        return hash((self.sigma, self.t))
+
+    def __repr__(self):
+        return f"LevelZeroRep(sigma={self.sigma!r}, t={self.t!r})"
 
     @property
     def group(self) -> GLGroup:
@@ -141,14 +163,24 @@ class LevelZeroRep:
         return self.sigma.central_value(minus_one)
 
 
-@dataclass(frozen=True)
-class SMonomial:
+class SMonomial(Frozen):
     """An exact monomial c * qbase^{half_exp/2} * qbase^{s_coeff * s}."""
 
-    coeff: CycloNumber
-    qbase: int
-    half_exp: int
-    s_coeff: Fraction
+    __slots__ = ("coeff", "qbase", "half_exp", "s_coeff")
+
+    def __init__(self, coeff: CycloNumber, qbase: int, half_exp: int, s_coeff: Fraction):
+        set_field(self, "coeff", coeff)
+        set_field(self, "qbase", qbase)
+        set_field(self, "half_exp", half_exp)
+        set_field(self, "s_coeff", s_coeff)
+
+    __hash__ = None  # CycloNumber is unhashable
+
+    def __repr__(self):
+        return (
+            f"SMonomial(coeff={self.coeff!r}, qbase={self.qbase!r}, "
+            f"half_exp={self.half_exp!r}, s_coeff={self.s_coeff!r})"
+        )
 
     def __mul__(self, other: "SMonomial") -> "SMonomial":
         if self.qbase != other.qbase:
@@ -161,7 +193,7 @@ class SMonomial:
         )
 
     def scale(self, c) -> "SMonomial":
-        return replace(self, coeff=self.coeff * c)
+        return SMonomial(self.coeff * c, self.qbase, self.half_exp, self.s_coeff)
 
     def __eq__(self, other):
         if not isinstance(other, SMonomial):
@@ -222,14 +254,41 @@ class SMonomial:
         )
 
 
-@dataclass(frozen=True)
-class LFactorSpec:
+class LFactorSpec(Frozen):
     """L(s) = (1 - u * qbase^{-s*m})^{-1}, or the constant 1."""
 
-    trivial: bool
-    u: CycloNumber | None = None
-    m: int | None = None
-    qbase: int | None = None
+    __slots__ = ("trivial", "u", "m", "qbase")
+
+    def __init__(
+        self,
+        trivial: bool,
+        u: CycloNumber | None = None,
+        m: int | None = None,
+        qbase: int | None = None,
+    ):
+        set_field(self, "trivial", trivial)
+        set_field(self, "u", u)
+        set_field(self, "m", m)
+        set_field(self, "qbase", qbase)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.trivial == other.trivial
+            and self.u == other.u
+            and self.m == other.m
+            and self.qbase == other.qbase
+        )
+
+    def __hash__(self):
+        return hash((self.trivial, self.u, self.m, self.qbase))
+
+    def __repr__(self):
+        return (
+            f"LFactorSpec(trivial={self.trivial!r}, u={self.u!r}, "
+            f"m={self.m!r}, qbase={self.qbase!r})"
+        )
 
     def to_dict(self) -> dict:
         if self.trivial:
@@ -399,29 +458,60 @@ def zeta_tilde_oracle(
     return SMonomial(w * coeff, q, -r, Fraction(r))
 
 
-@dataclass(frozen=True)
-class TransferData:
+class TransferData(Frozen):
     """Numerical data relating a tame-level epsilon to the wild-level one.
 
     r, N, e describe the ambient sizes (e divides N, r divides N/e); vnu is
     the valuation of the transfer invariant; w1, w2, zeta are the root-of-
     unity weights.  The invariant itself is input data, never computed here."""
 
-    r: int
-    N: int
-    e: int
-    vnu: int
-    w1: RootOfUnity = RootOfUnity(1, 0)
-    w2: RootOfUnity = RootOfUnity(1, 0)
-    zeta: RootOfUnity = RootOfUnity(1, 0)
+    __slots__ = ("r", "N", "e", "vnu", "w1", "w2", "zeta")
 
-    def __post_init__(self):
-        if self.r < 1 or self.N < 1:
+    def __init__(
+        self,
+        r: int,
+        N: int,
+        e: int,
+        vnu: int,
+        w1: RootOfUnity = RootOfUnity(1, 0),
+        w2: RootOfUnity = RootOfUnity(1, 0),
+        zeta: RootOfUnity = RootOfUnity(1, 0),
+    ):
+        if r < 1 or N < 1:
             raise ValueError("r and N must be >= 1")
-        if self.e < 1 or self.N % self.e:
+        if e < 1 or N % e:
             raise ValueError("e must divide N")
-        if (self.N // self.e) % self.r:
+        if (N // e) % r:
             raise ValueError("r must divide N/e")
+        set_field(self, "r", r)
+        set_field(self, "N", N)
+        set_field(self, "e", e)
+        set_field(self, "vnu", vnu)
+        set_field(self, "w1", w1)
+        set_field(self, "w2", w2)
+        set_field(self, "zeta", zeta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.r == other.r
+            and self.N == other.N
+            and self.e == other.e
+            and self.vnu == other.vnu
+            and self.w1 == other.w1
+            and self.w2 == other.w2
+            and self.zeta == other.zeta
+        )
+
+    def __hash__(self):
+        return hash((self.r, self.N, self.e, self.vnu, self.w1, self.w2, self.zeta))
+
+    def __repr__(self):
+        return (
+            f"TransferData(r={self.r!r}, N={self.N!r}, e={self.e!r}, vnu={self.vnu!r}, "
+            f"w1={self.w1!r}, w2={self.w2!r}, zeta={self.zeta!r})"
+        )
 
 
 def epsilon_transfer(eps_tame: SMonomial, data: TransferData) -> SMonomial:
@@ -457,8 +547,7 @@ def _integer_root(value: int, f: int) -> int:
     raise ValueError(f"{value} is not an exact {f}-th power")
 
 
-@dataclass(frozen=True)
-class TameTwist:
+class TameTwist(Frozen):
     """A tame character twist acting on level-zero data.
 
     unit_exponent is the character of GF(q)^x by which sigma_1 is twisted
@@ -466,9 +555,35 @@ class TameTwist:
     the character value at the norm of the transfer invariant to the power
     -r^2."""
 
-    unit_exponent: int
-    t_mult: RootOfUnity = RootOfUnity(1, 0)
-    norm_nu: RootOfUnity = RootOfUnity(1, 0)
+    __slots__ = ("unit_exponent", "t_mult", "norm_nu")
+
+    def __init__(
+        self,
+        unit_exponent: int,
+        t_mult: RootOfUnity = RootOfUnity(1, 0),
+        norm_nu: RootOfUnity = RootOfUnity(1, 0),
+    ):
+        set_field(self, "unit_exponent", unit_exponent)
+        set_field(self, "t_mult", t_mult)
+        set_field(self, "norm_nu", norm_nu)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.unit_exponent == other.unit_exponent
+            and self.t_mult == other.t_mult
+            and self.norm_nu == other.norm_nu
+        )
+
+    def __hash__(self):
+        return hash((self.unit_exponent, self.t_mult, self.norm_nu))
+
+    def __repr__(self):
+        return (
+            f"TameTwist(unit_exponent={self.unit_exponent!r}, t_mult={self.t_mult!r}, "
+            f"norm_nu={self.norm_nu!r})"
+        )
 
 
 def twist_rep(tau: LevelZeroRep, twist: TameTwist) -> LevelZeroRep:
@@ -498,7 +613,9 @@ def twist_ratio_check(
     where tau1' is the twisted representation, T the transfer with w1
     multiplied by norm_nu, and T' the original transfer."""
     tau1t = twist_rep(tau1, twist)
-    data_twisted = replace(data, w1=data.w1 * twist.norm_nu)
+    data_twisted = TransferData(
+        data.r, data.N, data.e, data.vnu, data.w1 * twist.norm_nu, data.w2, data.zeta
+    )
     eps_plain = epsilon_pair(tau1, tau2, psi)
     eps_twisted = epsilon_pair(tau1t, tau2, psi)
     lhs_num = epsilon_transfer(eps_twisted, data_twisted)

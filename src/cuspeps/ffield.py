@@ -24,9 +24,9 @@ multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._frozen import Frozen, set_field
 from .cyclo import CycloNumber, root_of_unity
 
 __all__ = [
@@ -290,12 +290,25 @@ def subfield_embed(x: int, src: FieldSpec, dst: FieldSpec) -> int:
     return (x * mult) % (dst.q - 1)
 
 
-@dataclass(frozen=True)
-class AdditiveChar:
+class AdditiveChar(Frozen):
     """psi_a(x) = zeta_p^{Tr(a*x)}, the additive character of GF(q) shifted by a."""
 
-    field: FieldSpec
-    a: int = 0  # log of the shift; 0 is the element 1
+    __slots__ = ("field", "a")
+
+    def __init__(self, field: FieldSpec, a: int = 0):  # a: log of the shift; 0 is the element 1
+        set_field(self, "field", field)
+        set_field(self, "a", a)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.field is other.field  # FieldSpec equality is identity
+
+    def __hash__(self):
+        return hash((self.field, self.a))
+
+    def __repr__(self):
+        return f"AdditiveChar(field={self.field!r}, a={self.a!r})"
 
     def eval(self, x: int) -> CycloNumber:
         t = self.field.mul(self.a, x)
@@ -311,15 +324,25 @@ class AdditiveChar:
         return self.a != ZERO
 
 
-@dataclass(frozen=True)
-class MultChar:
+class MultChar(Frozen):
     """theta_c(g^j) = zeta_{q-1}^{c*j}, a character of GF(q)^x."""
 
-    field: FieldSpec
-    c: int = 0
+    __slots__ = ("field", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", self.c % (self.field.q - 1))
+    def __init__(self, field: FieldSpec, c: int = 0):
+        set_field(self, "field", field)
+        set_field(self, "c", c % (field.q - 1))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.c == other.c and self.field is other.field  # FieldSpec equality is identity
+
+    def __hash__(self):
+        return hash((self.field, self.c))
+
+    def __repr__(self):
+        return f"MultChar(field={self.field!r}, c={self.c!r})"
 
     def eval(self, x: int) -> CycloNumber:
         if x == ZERO:

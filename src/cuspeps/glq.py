@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .cyclo import CycloNumber
 from .ffield import ZERO, AdditiveChar, FieldSpec, build_field, frobenius_orbit, subfield_embed
@@ -255,13 +255,13 @@ def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
 # -- conjugacy keys ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassKey:
-    """Conjugacy key for primary classes; (None, None, None) is "non-primary"."""
+class ClassKey(namedtuple("ClassKey", ("d", "eig", "blocks"))):
+    """Conjugacy key for primary classes; (None, None, None) is "non-primary".
 
-    d: int | None
-    eig: int | None
-    blocks: tuple[int, ...] | None
+    A named tuple, so that the hashing and comparing done for every element
+    in :meth:`GLGroup.class_map` and in the character caches run in C."""
+
+    __slots__ = ()
 
     @property
     def primary(self) -> bool:

@@ -10,9 +10,9 @@ suite both run these functions; CI can gate on the exit code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen, set_field
 from .bessel import get_evaluator, hankel_check, mat_eq, mat_mul, mat_trace, operator_L
 from .cusp import (
     contragredient,
@@ -48,12 +48,33 @@ EPSILON_SAMPLED = ((4, 2), (2, 3))
 T_CHOICES = (RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(4, 1))
 
 
-@dataclass
-class Check:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Frozen):
+    __slots__ = ("suite", "name", "ok", "detail")
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        set_field(self, "suite", suite)
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.suite == other.suite
+            and self.name == other.name
+            and self.ok == other.ok
+            and self.detail == other.detail
+        )
+
+    def __hash__(self):
+        return hash((self.suite, self.name, self.ok, self.detail))
+
+    def __repr__(self):
+        return (
+            f"Check(suite={self.suite!r}, name={self.name!r}, ok={self.ok!r}, "
+            f"detail={self.detail!r})"
+        )
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

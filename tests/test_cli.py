@@ -184,17 +184,68 @@ def test_byte_stable_output(capsys):
     assert outputs[0] == outputs[1]
 
 
+# Modules a fresh process of each subcommand must not load: dataclasses pulls
+# in inspect, ast, dis and tokenize, and cuspidals runs no Bessel or epsilon code.
+NOT_LOADED = {
+    "cuspidals": {"dataclasses", "inspect", "cuspeps.bessel", "cuspeps.epsilon"},
+    "epsilon": {"dataclasses", "inspect"},
+    "verify": set(),
+}
+
+
+CLI_SCRIPT = "from cuspeps import cli; code = cli.main(sys.argv[1:])"
+
+
+def _fresh_modules(script, *argv):
+    """Run script, which sets code, in a fresh interpreter; return the exit
+    code and the modules it loaded."""
+    src = os.path.dirname(os.path.dirname(cuspeps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = f"import json, sys; {script}; sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, set(json.loads(proc.stderr))
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (("cuspidals", "--q", "2", "--r", "2"), False),
     (("epsilon", "--q", "3", "--r", "1", "--theta1", "1", "--theta2", "0"), False),
     (("verify", "--suite", "cyclo"), True),
 ])
 def test_only_verify_imports_the_suites(argv, loaded):
-    """A fresh process compiles cuspeps.verify only for the verify subcommand."""
-    src = os.path.dirname(os.path.dirname(cuspeps.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = ("import sys; from cuspeps import cli; code = cli.main(sys.argv[1:]); "
-              "sys.stderr.write(str('cuspeps.verify' in sys.modules)); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stderr == str(loaded)
+    """A fresh process compiles cuspeps.verify only for the verify subcommand,
+    and a subcommand loads no module it does not run."""
+    code, modules = _fresh_modules(CLI_SCRIPT, *argv)
+    assert code == 0
+    assert ("cuspeps.verify" in modules) == loaded
+    assert modules & NOT_LOADED[argv[0]] == set()
+
+
+def test_bare_import_loads_no_submodule():
+    code, modules = _fresh_modules("import cuspeps; code = 0")
+    assert code == 0
+    assert "cuspeps" in modules
+    assert sorted(m for m in modules if m.startswith("cuspeps.")) == []
+
+
+def test_field_and_transfer_imports(tmp_path):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(UNIT_EPS))
+    for argv, not_loaded in (
+        (("field", "--p", "2", "--k", "3"), {"dataclasses", "inspect", "cuspeps.glq", "cuspeps.cusp"}),
+        (
+            ("transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1", "--input", str(path)),
+            {"dataclasses", "inspect", "cuspeps.verify"},
+        ),
+    ):
+        code, modules = _fresh_modules(CLI_SCRIPT, *argv)
+        assert code == 0
+        assert modules & not_loaded == set()
+
+
+def test_oversized_character_table_is_refused(capsys):
+    """GL_1(F_256) has 255 cuspidals x 255 classes x phi(255) = 128 coefficient
+    strings, over cli.MAX_TABLE_COEFFS: refused before any row is built."""
+    code, out, err = run_cli(capsys, "cuspidals", "--q", "256", "--r", "1", "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cli.MAX_TABLE_COEFFS) in err
