@@ -110,24 +110,6 @@ class BesselTable(Frozen):
         set_field(self, "domain", domain)
         set_field(self, "values", {} if values is None else values)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.sigma == other.sigma
-            and self.psi == other.psi
-            and self.domain == other.domain
-            and self.values == other.values
-        )
-
-    __hash__ = None  # the values dict is mutable
-
-    def __repr__(self):
-        return (
-            f"BesselTable(sigma={self.sigma!r}, psi={self.psi!r}, "
-            f"domain={self.domain!r}, values={self.values!r})"
-        )
-
     def __getitem__(self, g: Mat) -> CycloNumber:
         return self.values[g]
 

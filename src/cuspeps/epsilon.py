@@ -84,17 +84,6 @@ class RootOfUnity(Frozen):
         set_field(self, "order", order // g)
         set_field(self, "exp", e // g)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order and self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.order, self.exp))
-
-    def __repr__(self):
-        return f"RootOfUnity(order={self.order!r}, exp={self.exp!r})"
-
     def value(self) -> CycloNumber:
         return root_of_unity(self.order, self.exp)
 
@@ -139,17 +128,6 @@ class LevelZeroRep(Frozen):
         set_field(self, "sigma", sigma)
         set_field(self, "t", t)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sigma == other.sigma and self.t == other.t
-
-    def __hash__(self):
-        return hash((self.sigma, self.t))
-
-    def __repr__(self):
-        return f"LevelZeroRep(sigma={self.sigma!r}, t={self.t!r})"
-
     @property
     def group(self) -> GLGroup:
         return self.sigma.group
@@ -174,14 +152,6 @@ class SMonomial(Frozen):
         set_field(self, "half_exp", half_exp)
         set_field(self, "s_coeff", s_coeff)
 
-    __hash__ = None  # CycloNumber is unhashable
-
-    def __repr__(self):
-        return (
-            f"SMonomial(coeff={self.coeff!r}, qbase={self.qbase!r}, "
-            f"half_exp={self.half_exp!r}, s_coeff={self.s_coeff!r})"
-        )
-
     def __mul__(self, other: "SMonomial") -> "SMonomial":
         if self.qbase != other.qbase:
             raise ValueError("monomials have different q-bases; rebase first")
@@ -195,6 +165,8 @@ class SMonomial(Frozen):
     def scale(self, c) -> "SMonomial":
         return SMonomial(self.coeff * c, self.qbase, self.half_exp, self.s_coeff)
 
+    # Zero monomials are equal whatever their exponents.  Defining __eq__ here
+    # also leaves SMonomial unhashable, as its CycloNumber coefficient is.
     def __eq__(self, other):
         if not isinstance(other, SMonomial):
             return NotImplemented
@@ -270,25 +242,6 @@ class LFactorSpec(Frozen):
         set_field(self, "u", u)
         set_field(self, "m", m)
         set_field(self, "qbase", qbase)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.trivial == other.trivial
-            and self.u == other.u
-            and self.m == other.m
-            and self.qbase == other.qbase
-        )
-
-    def __hash__(self):
-        return hash((self.trivial, self.u, self.m, self.qbase))
-
-    def __repr__(self):
-        return (
-            f"LFactorSpec(trivial={self.trivial!r}, u={self.u!r}, "
-            f"m={self.m!r}, qbase={self.qbase!r})"
-        )
 
     def to_dict(self) -> dict:
         if self.trivial:
@@ -491,28 +444,6 @@ class TransferData(Frozen):
         set_field(self, "w2", w2)
         set_field(self, "zeta", zeta)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.r == other.r
-            and self.N == other.N
-            and self.e == other.e
-            and self.vnu == other.vnu
-            and self.w1 == other.w1
-            and self.w2 == other.w2
-            and self.zeta == other.zeta
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.N, self.e, self.vnu, self.w1, self.w2, self.zeta))
-
-    def __repr__(self):
-        return (
-            f"TransferData(r={self.r!r}, N={self.N!r}, e={self.e!r}, vnu={self.vnu!r}, "
-            f"w1={self.w1!r}, w2={self.w2!r}, zeta={self.zeta!r})"
-        )
-
 
 def epsilon_transfer(eps_tame: SMonomial, data: TransferData) -> SMonomial:
     """Pass from the tame-side epsilon (base q_E = q^{N/(e*r)}) to base q.
@@ -566,24 +497,6 @@ class TameTwist(Frozen):
         set_field(self, "unit_exponent", unit_exponent)
         set_field(self, "t_mult", t_mult)
         set_field(self, "norm_nu", norm_nu)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.unit_exponent == other.unit_exponent
-            and self.t_mult == other.t_mult
-            and self.norm_nu == other.norm_nu
-        )
-
-    def __hash__(self):
-        return hash((self.unit_exponent, self.t_mult, self.norm_nu))
-
-    def __repr__(self):
-        return (
-            f"TameTwist(unit_exponent={self.unit_exponent!r}, t_mult={self.t_mult!r}, "
-            f"norm_nu={self.norm_nu!r})"
-        )
 
 
 def twist_rep(tau: LevelZeroRep, twist: TameTwist) -> LevelZeroRep:

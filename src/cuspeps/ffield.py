@@ -299,17 +299,6 @@ class AdditiveChar(Frozen):
         set_field(self, "field", field)
         set_field(self, "a", a)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.field is other.field  # FieldSpec equality is identity
-
-    def __hash__(self):
-        return hash((self.field, self.a))
-
-    def __repr__(self):
-        return f"AdditiveChar(field={self.field!r}, a={self.a!r})"
-
     def eval(self, x: int) -> CycloNumber:
         t = self.field.mul(self.a, x)
         if t == ZERO:
@@ -332,17 +321,6 @@ class MultChar(Frozen):
     def __init__(self, field: FieldSpec, c: int = 0):
         set_field(self, "field", field)
         set_field(self, "c", c % (field.q - 1))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.c == other.c and self.field is other.field  # FieldSpec equality is identity
-
-    def __hash__(self):
-        return hash((self.field, self.c))
-
-    def __repr__(self):
-        return f"MultChar(field={self.field!r}, c={self.c!r})"
 
     def eval(self, x: int) -> CycloNumber:
         if x == ZERO:

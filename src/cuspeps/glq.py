@@ -66,12 +66,11 @@ SINGER = "singer"
 class Mat:
     """A square matrix over a fixed GF(q), entries as field logs."""
 
-    __slots__ = ("field", "rows", "_det")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: FieldSpec, rows):
         self.field = field
         self.rows = tuple(tuple(row) for row in rows)
-        self._det = None
 
     @classmethod
     def identity(cls, field: FieldSpec, r: int) -> "Mat":
@@ -93,15 +92,12 @@ class Mat:
         out = object.__new__(Mat)
         out.field = F
         out.rows = product(*F.tables(), rows, other.rows)
-        out._det = None
         return out
 
     def det(self) -> int:
         """(-1)^r times the constant term of the characteristic polynomial."""
-        if self._det is None:
-            c = _charpoly(self.field, self.rows)[0]
-            self._det = c if len(self.rows) % 2 == 0 else self.field.neg(c)
-        return self._det
+        c = _charpoly(self.field, self.rows)[0]
+        return c if len(self.rows) % 2 == 0 else self.field.neg(c)
 
     def inv(self) -> "Mat":
         F = self.field

@@ -57,25 +57,6 @@ class Check(Frozen):
         set_field(self, "ok", ok)
         set_field(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.suite == other.suite
-            and self.name == other.name
-            and self.ok == other.ok
-            and self.detail == other.detail
-        )
-
-    def __hash__(self):
-        return hash((self.suite, self.name, self.ok, self.detail))
-
-    def __repr__(self):
-        return (
-            f"Check(suite={self.suite!r}, name={self.name!r}, ok={self.ok!r}, "
-            f"detail={self.detail!r})"
-        )
-
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         tail = f" ({self.detail})" if self.detail else ""

@@ -94,10 +94,23 @@ UNIT_EPS = {"coeff": {"m": 1, "coeffs": ["1"]}, "qbase": 3, "half_exp": 0, "s_co
         (dict(UNIT_EPS, qbase=0, half_exp=-1), ("--N", "1", "--e", "1", "--r", "1")),
         (dict(UNIT_EPS, coeff={"m": 10**11, "coeffs": ["1"]}), ("--N", "1", "--e", "1", "--r", "1")),
         (UNIT_EPS, ("--N", "1", "--e", "1", "--r", "1", "--w1", "1/997", "--w2", "1/991", "--zeta", "1/983")),
+        # Infinite JSON numbers overflow int() and Fraction() while parsing;
+        # a string doc is the raw input text.
+        *(
+            pytest.param(doc, ("--N", "1", "--e", "1", "--r", "1"), id=name)
+            for name, doc in (
+                ("half_exp-Infinity", dict(UNIT_EPS, half_exp=float("inf"))),
+                ("qbase-1e400", json.dumps(UNIT_EPS).replace('"qbase": 3', '"qbase": 1e400')),
+                ("coeff-m-1e400", json.dumps(UNIT_EPS).replace('"m": 1', '"m": 1e400')),
+                ("s_coeff-Infinity", dict(UNIT_EPS, s_coeff=float("inf"))),
+                ("coeffs-1e400", json.dumps(UNIT_EPS).replace('["1"]', "[1e400]")),
+            )
+        ),
     ],
 )
 def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, "transfer", "--vnu", "0", *sizes)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -139,6 +152,25 @@ def test_usage_errors(capsys):
     assert code == 2 and "regular" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "does-not-exist")
     assert code == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """main builds the parser on its first call only, and a reused parser
+    prints the same bytes as a fresh one, usage errors included."""
+    requests = (("field", "--p", "2", "--k", "2"), ("nonsense",), ("field", "--p", "3"))
+    fresh = []
+    for argv in requests:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_cli(capsys, *argv))
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run_cli(capsys, *argv) for argv in requests]
+    assert len(built) == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0]
+    assert "invalid choice" in reused[1][2]
 
 
 def test_emit_csv_format(capsys):

@@ -1,10 +1,14 @@
 """Value semantics of the record classes: equality, hashing, immutability,
 normalisation, validation and repr."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import cuspeps
+from cuspeps._frozen import Frozen
 from cuspeps.bessel import BesselTable
 from cuspeps.cusp import CuspidalRep
 from cuspeps.cyclo import root_of_unity
@@ -113,6 +117,48 @@ def test_reprs():
     )
     assert repr(LFactorSpec(True)) == "LFactorSpec(trivial=True, u=None, m=None, qbase=None)"
     assert repr(Check("a", "b", True)) == "Check(suite='a', name='b', ok=True, detail='')"
+    assert repr(LevelZeroRep(SIGMA1, THIRD)) == (
+        f"LevelZeroRep(sigma={SIGMA1!r}, t=RootOfUnity(order=3, exp=1))"
+    )
+    assert repr(SMonomial(root_of_unity(3, 1), 9, -2, Fraction(1, 2))) == (
+        f"SMonomial(coeff={root_of_unity(3, 1)!r}, qbase=9, half_exp=-2, "
+        "s_coeff=Fraction(1, 2))"
+    )
+    assert repr(TransferData(1, 2, 2, 1, THIRD)) == (
+        "TransferData(r=1, N=2, e=2, vnu=1, w1=RootOfUnity(order=3, exp=1), "
+        "w2=RootOfUnity(order=1, exp=0), zeta=RootOfUnity(order=1, exp=0))"
+    )
+    assert repr(BesselTable(SIGMA1, PSI, "u")) == (
+        f"BesselTable(sigma={SIGMA1!r}, psi=AdditiveChar(field=FieldSpec(GF(3^1)), a=0), "
+        "domain='u', values={})"
+    )
+
+
+def test_every_record_is_checked():
+    """Every Frozen subclass of every cuspeps module has a RECORDS entry."""
+    for info in pkgutil.iter_modules(cuspeps.__path__):
+        importlib.import_module(f"cuspeps.{info.name}")
+    records, todo = set(), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            records.add(cls.__name__)
+            todo.append(cls)
+    assert records and records <= set(RECORDS)
+
+
+def test_records_of_different_classes_are_unequal():
+    assert AdditiveChar(F5, 1) != MultChar(F5, 1)
+    assert not AdditiveChar(F5, 1) == MultChar(F5, 1)
+    assert RootOfUnity(3, 1) != (3, 1) and not RootOfUnity(3, 1) == (3, 1)
+    assert Check("glq", "name", True) != ("glq", "name", True, "")
+
+
+def test_nontrivial_l_factor_is_unhashable():
+    a = LFactorSpec(False, root_of_unity(3, 1), 2, 3)
+    assert a == LFactorSpec(False, root_of_unity(3, 1), 2, 3)
+    assert a != LFactorSpec(False, root_of_unity(3, 2), 2, 3)
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_class_key_is_a_tuple():
