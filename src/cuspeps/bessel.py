@@ -17,7 +17,9 @@ functions on M: L is multiplicative, has trace chi_sigma, and its
 (identity, identity) entry recovers J itself.
 
 Values are cached per group element; the character is cached per class, so a
-full table over GL_r costs about |G| * |U| class lookups.
+full table over GL_r costs about |G| * |U| class lookups.  psi_U(u) is kept as
+an exponent (order, k), and each J(g), Hankel sum and entry of an operator
+product is one call of :func:`cuspeps.cyclo.dot`, reduced modulo Phi_m once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
-from .cyclo import CycloNumber, zero
+from .cyclo import UNIT, CycloNumber, dot, zero
 from .cusp import CuspidalRep, contragredient
 from .ffield import AdditiveChar
 from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, Mat
@@ -58,7 +60,7 @@ class BesselEvaluator:
         self.psi = psi
         group = sigma.group
         self._terms = tuple(
-            (group.psi_u(u, psi), u.inv()) for u in group.elements(UNIPOTENT)
+            (group.psi_u_root(u, psi), u.inv()) for u in group.elements(UNIPOTENT)
         )
         self._norm = Fraction(1, len(self._terms))
         self._cache: dict[Mat, CycloNumber] = {}
@@ -67,13 +69,8 @@ class BesselEvaluator:
         cached = self._cache.get(g)
         if cached is not None:
             return cached
-        sigma = self.sigma
-        acc = zero()
-        for psi_val, u_inv in self._terms:
-            chi = sigma.char_at(g * u_inv)
-            if not chi.is_zero():
-                acc = acc + psi_val * chi
-        value = acc.scale(self._norm)
+        char_at = self.sigma.char_at
+        value = dot((w, char_at(g * u_inv), None) for w, u_inv in self._terms).scale(self._norm)
         self._cache[g] = value
         return value
 
@@ -138,13 +135,9 @@ def hankel_check(
 ) -> bool:
     """sum_{m in M/U} J(g1 m) J(m^-1 g2) == J(g1 g2), exactly."""
     ev = get_evaluator(sigma, psi)
-    acc = zero()
     group = sigma.group
-    for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind)):
-        term = ev(g1 * c_inv) * ev(c * g2)
-        if not term.is_zero():
-            acc = acc + term
-    return acc == ev(g1 * g2)
+    reps = zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
+    return dot((UNIT, ev(g1 * c_inv), ev(c * g2)) for c, c_inv in reps) == ev(g1 * g2)
 
 
 def contragredient_table(table: BesselTable) -> BesselTable:
@@ -167,11 +160,7 @@ def mat_mul(a, b):
     """Product of square matrices of cyclotomic numbers, skipping zero factors."""
     cols = list(zip(*b))
     return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())), zero())
-            for col in cols
-        )
-        for row in a
+        tuple(dot((UNIT, x, y) for x, y in zip(row, col)) for col in cols) for row in a
     )
 
 

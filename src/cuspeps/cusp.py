@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNumber, zero
+from .cyclo import UNIT, CycloNumber, dot, one, zero
 from .ffield import ZERO, AdditiveChar, MultChar, frobenius_orbit, subfield_embed
 from .glq import (
     FULL,
@@ -102,9 +102,8 @@ class CuspidalRep:
             group = self.group
             big = group.big_field
             x = subfield_embed(key.eig, group.ext_field(key.d), big)
-            acc = zero()
-            for i in range(key.d):
-                acc = acc + self.theta.eval(big.pow(x, group.q**i))
+            theta, unit = self.theta, one()
+            acc = dot((theta.root(big.pow(x, group.q**i)), unit, None) for i in range(key.d))
             factor = 1
             for i in range(1, len(key.blocks)):
                 factor *= 1 - group.q ** (key.d * i)
@@ -159,12 +158,8 @@ def inner_product(
     missing = set(cmap) - set(table1) | set(cmap) - set(table2)
     if missing:
         raise ValueError(f"class-function tables are incomplete: missing {sorted(missing, key=str)}")
-    acc = zero()
-    for key, (count, _) in cmap.items():
-        term = table1[key] * table2[key].conjugate()
-        if not term.is_zero():
-            acc = acc + term.scale(count)
-    return acc.scale(Fraction(1, group.order()))
+    terms = ((UNIT, table1[key].scale(count), table2[key]) for key, (count, _) in cmap.items())
+    return dot(terms, conjugate=True).scale(Fraction(1, group.order()))
 
 
 def induced_psi_character(
@@ -177,11 +172,11 @@ def induced_psi_character(
     values = group.induced_psi_values.setdefault((kind, psi), {})
     acc = values.get(g)
     if acc is None:
-        acc = zero()
-        for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind)):
-            h = c * g * c_inv
-            if group.contains(UNIPOTENT, h):
-                acc = acc + group.psi_u(h, psi)
+        reps = zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
+        conjugates = (c * g * c_inv for c, c_inv in reps)
+        unipotent = (h for h in conjugates if group.contains(UNIPOTENT, h))
+        unit = one()
+        acc = dot((group.psi_u_root(h, psi), unit, None) for h in unipotent)
         values[g] = acc
     return acc
 
@@ -207,18 +202,15 @@ def gelfand_graev_mult(sigma: CuspidalRep, psi: AdditiveChar) -> int:
     (non-primary classes contribute nothing since the cuspidal character
     vanishes there); the result must be a nonnegative integer."""
     group = sigma.group
-    acc = zero()
-    for key, (count, rep) in group.class_map().items():
-        if not key.primary:
-            continue
-        chi = sigma.char_value(key)
-        if chi.is_zero():
-            continue
-        ind = induced_psi_character(group, FULL, psi, rep)
-        term = ind * chi.conjugate()
-        if not term.is_zero():
-            acc = acc + term.scale(count)
-    acc = acc.scale(Fraction(1, group.order()))
+
+    def terms():
+        for key, (count, rep) in group.class_map().items():
+            if key.primary:
+                chi = sigma.char_value(key)
+                if not chi.is_zero():
+                    yield UNIT, induced_psi_character(group, FULL, psi, rep).scale(count), chi
+
+    acc = dot(terms(), conjugate=True).scale(Fraction(1, group.order()))
     value = acc.rational_value()
     if value.denominator != 1:
         raise AssertionError(f"multiplicity came out non-integral: {value}")

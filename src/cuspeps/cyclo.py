@@ -15,6 +15,16 @@ is kept beyond Phi_m itself, so memory stays O(m) even for the large orders a
 user-chosen root of unity can bring in.  :class:`fractions.Fraction` appears
 only where rationals enter or leave: constructors, ``scale``,
 ``rational_value``, ``to_dict``/``from_dict``, ``embed`` and ``repr``.
+
+The character sums of the library, sum_i zeta_n^k * a_i * b_i, go through one
+kernel, :func:`dot`: the root of unity is an exponent shift, conjugating b_i
+negates its exponents, and every product is added as integer counts into one
+work list over a common denominator, so Phi_m and the gcd are applied once
+per sum, not once per term.  The result is the value, and the order, of the
+left fold ``zero() + w_1 * a_1 * b_1 + ...`` with ``*``, ``conjugate()`` and
+``+``: a term with a zero factor is skipped, and the order is the lcm, from
+1, of the orders of the remaining factors, even when their sum cancels to 0.
+Since ``to_dict`` prints the order, this rule is part of the output.
 """
 
 from __future__ import annotations
@@ -23,10 +33,13 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 __all__ = [
     "CycloNumber",
+    "UNIT",
     "cyclotomic_polynomial",
+    "dot",
     "root_of_unity",
     "zero",
     "one",
@@ -292,6 +305,59 @@ def _coerce(value) -> CycloNumber:
     if isinstance(value, (int, Fraction)):
         return CycloNumber.rational(value)
     raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
+
+
+# The root of unity 1 = zeta_1^0 as (order, exponent), for a term of dot
+# without a root-of-unity factor.
+UNIT = (1, 0)
+
+
+def dot(terms, conjugate: bool = False) -> CycloNumber:
+    """sum of zeta_n^k * a * b over the terms ((n, k), a, b), reduced once.
+
+    b may be None (a factor 1); with ``conjugate`` every b is conjugated.
+    Equals, value and order, the left fold of ``*``, ``conjugate()`` and
+    ``+`` from ``zero()`` that skips terms with a zero factor.  The terms are
+    read once, as a stream: the work list holds exponent counts 0..2*order-1
+    over the common denominator ``den`` and is respread when a term raises the
+    order, rescaled when it raises the denominator."""
+    order = den = 1
+    work = [0, 0]
+    for (n, k), a, b in terms:
+        anum = a.num
+        if not any(anum):
+            continue
+        if b is None:
+            mb, d = 1, a.den
+        elif any(b.num):
+            mb, d = b.m, a.den * b.den
+        else:
+            continue
+        ma = a.m
+        if order % n or order % ma or order % mb:
+            new = lcm(order, n, ma, mb)
+            spread = [0] * (2 * new)
+            spread[:new:new // order] = map(add, work[:order], work[order:])
+            work, order = spread, new
+        if den % d:
+            new = lcm(den, d)
+            if any(work):
+                work = [x * (new // den) for x in work]
+            den = new
+        f = den // d
+        sa, shift = order // ma, k * (order // n)
+        if b is None:
+            bt = [(0, f)]
+        else:
+            sb = -order // mb if conjugate else order // mb
+            bt = [(j * sb % order, c * f) for j, c in enumerate(b.num) if c]
+        for i, c in enumerate(anum):
+            if c:
+                base = (i * sa + shift) % order
+                for j, cb in bt:
+                    work[base + j] += c * cb
+    num = _mod_phi(order, list(map(add, work[:order], work[order:])))
+    return _make(order, *_lowest(num, den))
 
 
 def root_of_unity(m: int, j: int) -> CycloNumber:

@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from ._frozen import Frozen, set_field
 from .bessel import get_evaluator
-from .cyclo import CycloNumber, one, root_of_unity, zero
+from .cyclo import UNIT, CycloNumber, dot, one, root_of_unity
 from .cusp import CuspidalRep
 from .ffield import AdditiveChar
 from .glq import FULL, STABILIZER, GLGroup, Mat
@@ -276,12 +276,9 @@ def gauss_pair_sum(
     j1 = get_evaluator(sigma1, psi)
     j2 = get_evaluator(sigma2, psi)
     r = group.r
-    acc = zero()
-    for h, h_inv in zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL)):
-        term = j1(h_inv) * j2(h_inv).conjugate()
-        if not term.is_zero():
-            acc = acc + psi.eval(h.rows[r - 1][0]) * term
-    return acc
+    reps = zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL))
+    terms = ((psi.root(h.rows[r - 1][0]), j1(h_inv), j2(h_inv)) for h, h_inv in reps)
+    return dot(terms, conjugate=True)
 
 
 def pair_sum_vanishing(
@@ -297,13 +294,12 @@ def pair_sum_vanishing(
     _psi_check(group, psi)
     j1 = get_evaluator(sigma1, psi)
     j2 = get_evaluator(sigma2, psi)
-    acc = zero()
-    for h in group.coset_reps(FULL):
-        hg = h * g
-        term = j1(hg) * j2(hg).conjugate()
-        if not term.is_zero():
-            acc = acc + term
-    return acc
+    return _pair_sum(j1, j2, group.coset_reps(FULL), g)
+
+
+def _pair_sum(j1, j2, reps, g: Mat) -> CycloNumber:
+    """sum over h in reps of J_1(hg) conj J_2(hg), reduced once."""
+    return dot(((UNIT, j1(hg), j2(hg)) for hg in (h * g for h in reps)), conjugate=True)
 
 
 def _t_ratio(tau1: LevelZeroRep, tau2: LevelZeroRep) -> RootOfUnity:
@@ -337,10 +333,10 @@ def l_factor_pair(tau1: LevelZeroRep, tau2: LevelZeroRep) -> LFactorSpec:
     return LFactorSpec(trivial=False, u=u, m=group.r, qbase=group.q)
 
 
-def _phi_weight(group: GLGroup, psi: AdditiveChar, torus_exp: int) -> CycloNumber:
-    """psi of the (r,1) entry of the inverse torus element."""
+def _phi_weight(group: GLGroup, psi: AdditiveChar, torus_exp: int) -> tuple[int, int]:
+    """psi of the (r,1) entry of the inverse torus element, as (order, exponent)."""
     y_inv = group.singer_matrix(-torus_exp)
-    return psi.eval(y_inv.rows[group.r - 1][0])
+    return psi.root(y_inv.rows[group.r - 1][0])
 
 
 def zeta_tilde_oracle(
@@ -369,17 +365,10 @@ def zeta_tilde_oracle(
     w = tau2.central_sign()
 
     stab_reps = group.coset_reps(STABILIZER)
-    a_value = zero()
-    for e in range(q_b - 1):
-        y = group.singer_matrix(e)
-        inner = zero()
-        for h in stab_reps:
-            hy = h * y
-            term = j1(hy) * j2(hy).conjugate()
-            if not term.is_zero():
-                inner = inner + term
-        if not inner.is_zero():
-            a_value = a_value + _phi_weight(group, psi, e) * inner
+    a_value = dot(
+        (_phi_weight(group, psi, e), _pair_sum(j1, j2, stab_reps, group.singer_matrix(e)), None)
+        for e in range(q_b - 1)
+    )
 
     p_value = pair_sum_vanishing(tau1.sigma, tau2.sigma, psi, group.identity())
     lfac = l_factor_pair(tau1, tau2)

@@ -299,11 +299,16 @@ class AdditiveChar(Frozen):
         set_field(self, "field", field)
         set_field(self, "a", a)
 
-    def eval(self, x: int) -> CycloNumber:
+    def root(self, x: int) -> tuple[int, int]:
+        """psi(x) as (order, exponent): (1, 0) where a*x = 0, else (p, Tr(a*x)),
+        of order p even when the trace is 0."""
         t = self.field.mul(self.a, x)
         if t == ZERO:
-            return root_of_unity(1, 0)
-        return root_of_unity(self.field.p, self.field.trace_to_prime(t))
+            return (1, 0)
+        return (self.field.p, self.field.trace_to_prime(t))
+
+    def eval(self, x: int) -> CycloNumber:
+        return root_of_unity(*self.root(x))
 
     def conjugate(self) -> "AdditiveChar":
         return AdditiveChar(self.field, self.field.neg(self.a))
@@ -322,10 +327,14 @@ class MultChar(Frozen):
         set_field(self, "field", field)
         set_field(self, "c", c % (field.q - 1))
 
-    def eval(self, x: int) -> CycloNumber:
+    def root(self, x: int) -> tuple[int, int]:
+        """theta(x) as (order, exponent): (q - 1, c * x)."""
         if x == ZERO:
             raise ValueError("multiplicative characters are not defined at 0")
-        return root_of_unity(self.field.q - 1, self.c * x)
+        return (self.field.q - 1, self.c * x)
+
+    def eval(self, x: int) -> CycloNumber:
+        return root_of_unity(*self.root(x))
 
     def conjugate(self) -> "MultChar":
         return MultChar(self.field, -self.c)

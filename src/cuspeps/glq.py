@@ -42,7 +42,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, root_of_unity
 from .ffield import ZERO, AdditiveChar, FieldSpec, build_field, frobenius_orbit, subfield_embed
 
 __all__ = [
@@ -228,23 +228,26 @@ def _charpoly(F: FieldSpec, rows) -> tuple:
 
 
 def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
+    """Rank by row reduction over the field's (add, mul) tables (rows are consumed)."""
+    add, mul = F.tables()
+    minus_one = mul[F.neg(0)]
     n = len(rows)
-    m = len(rows[0]) if rows else 0
     rank = 0
-    col = 0
-    while rank < n and col < m:
-        piv = next((i for i in range(rank, n) if rows[i][col] != ZERO), None)
-        if piv is None:
-            col += 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = rank
+        while piv < n and rows[piv][col] == ZERO:
+            piv += 1
+        if piv == n:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = F.inv(rows[rank][col])
+        pivot_row = rows[rank]
+        neg_inv = minus_one[-pivot_row[col] % (F.q - 1)]  # log of -1/pivot
         for i in range(rank + 1, n):
-            if rows[i][col] != ZERO:
-                f = F.mul(rows[i][col], inv_p)
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+            x = rows[i][col]
+            if x != ZERO:
+                times = mul[mul[x][neg_inv]]  # row i minus (x/pivot) * pivot row
+                rows[i] = [add[a][times[b]] for a, b in zip(rows[i], pivot_row)]
         rank += 1
-        col += 1
     return rank
 
 
@@ -296,6 +299,7 @@ class GLGroup:
         self.element_bound = element_bound
         self.big_field = build_field(field.p, field.k * r)
         self._ext: dict[int, FieldSpec] = {1: field, r: self.big_field}
+        self._ext_embed: dict[int, tuple[int, ...]] = {}
         self._singer_coeffs: list[tuple[int, ...]] | None = None
         self._singer_index: dict[tuple[int, ...], int] | None = None
         self._primary: dict[tuple, tuple[int, int]] | None = None
@@ -416,13 +420,17 @@ class GLGroup:
 
     def psi_u(self, u: Mat, psi: AdditiveChar) -> CycloNumber:
         """psi(sum of superdiagonal entries); a nondegenerate character of U."""
+        return root_of_unity(*self.psi_u_root(u, psi))
+
+    def psi_u_root(self, u: Mat, psi: AdditiveChar) -> tuple[int, int]:
+        """psi_u(u, psi) as (order, exponent), see :meth:`AdditiveChar.root`."""
         if not self.contains(UNIPOTENT, u):
             raise ValueError("matrix is not unipotent upper-triangular")
         F = self.field
         acc = ZERO
         for i in range(self.r - 1):
             acc = F.add(acc, u.rows[i][i + 1])
-        return psi.eval(acc)
+        return psi.root(acc)
 
     # -- Singer torus ----------------------------------------------------
 
@@ -565,9 +573,14 @@ class GLGroup:
         j of the sequence counts the blocks of size at least j.  Once a step
         adds at most one block, that block takes the rest of r/d."""
         F, ext, r, n = self.field, self.ext_field(d), self.r, self.r // d
-        entries = [[subfield_embed(v, F, ext) for v in row] for row in rows]
+        embed = self._ext_embed.get(d)
+        if embed is None:  # by log, ZERO in the last slot, as in FieldSpec.tables
+            embed = tuple(subfield_embed(v, F, ext) for v in (*range(F.q - 1), ZERO))
+            self._ext_embed[d] = embed
+        add, minus_x = ext.tables()[0], ext.neg(eig)
+        entries = [[embed[v] for v in row] for row in rows]
         for i in range(r):
-            entries[i][i] = ext.sub(entries[i][i], eig)
+            entries[i][i] = add[entries[i][i]][minus_x]
         gx = power = Mat(ext, entries)
         diffs: list[int] = []
         seen = 0

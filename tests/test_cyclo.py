@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspeps.cyclo import CycloNumber, cyclotomic_polynomial, root_of_unity
+from cuspeps.cyclo import UNIT, CycloNumber, cyclotomic_polynomial, dot, one, root_of_unity, zero
+from cuspeps.ffield import ZERO, AdditiveChar, build_field
 
 
 def test_basic_roots():
@@ -248,3 +249,71 @@ def test_conjugation_involution_property(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert _close(a.conjugate().embed(), a.embed().conjugate())
     assert _close((a * a.conjugate()).embed(), abs(a.embed()) ** 2)
+
+
+# -- the summation kernel against the left fold it replaces ------------------
+
+# 1, primes p, orders q^r - 1 (8 = 3^2 - 1, 7 = 2^3 - 1, 24 = 5^2 - 1, 15 = 4^2 - 1)
+# and their lcms.
+DOT_ORDERS = (1, 2, 3, 5, 7, 8, 15, 24, 40, 120)
+
+
+@st.composite
+def dot_factors(draw):
+    m = draw(st.sampled_from(DOT_ORDERS))
+    if draw(st.integers(0, 4)) == 0:
+        return CycloNumber(m, [])  # zero, still of order m
+    coeffs = [Fraction(0)] * m
+    for _ in range(draw(st.integers(1, 4))):
+        j = draw(st.integers(0, m - 1))
+        coeffs[j] += Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return CycloNumber(m, coeffs)
+
+
+@st.composite
+def dot_terms(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from(DOT_ORDERS))
+        b = draw(st.none() | dot_factors())
+        terms.append(((n, draw(st.integers(-2 * n, 2 * n))), draw(dot_factors()), b))
+    if draw(st.booleans()):  # every term twice, once negated: the sum cancels to 0
+        terms = draw(st.permutations(terms + [(w, -a, b) for w, a, b in terms]))
+    return terms
+
+
+def _left_fold(terms, conjugate):
+    acc = zero()
+    for (n, k), a, b in terms:
+        term = a if b is None else a * (b.conjugate() if conjugate else b)
+        if not term.is_zero():
+            acc = acc + root_of_unity(n, k) * term
+    return acc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dot_terms(), st.booleans())
+def test_dot_matches_left_fold(terms, conjugate):
+    assert dot(terms, conjugate).to_dict() == _left_fold(terms, conjugate).to_dict()
+
+
+def test_dot_order_rules():
+    assert dot([]).to_dict() == {"m": 1, "coeffs": ["0"]}
+    z24, z5 = root_of_unity(24, 5), root_of_unity(5, 2)
+    # a zero factor adds nothing, not even its order
+    assert dot([((5, 1), CycloNumber(120, []), z24), (UNIT, z24, None)]).m == 24
+    assert dot([(UNIT, z24, CycloNumber(7, []))], conjugate=True).m == 1
+    # cancellation keeps the lcm of the orders of the cancelled terms
+    cancelled = dot([((5, 1), z24, None), ((5, 1), -z24, None)])
+    assert cancelled.is_zero() and cancelled.to_dict() == {"m": 120, "coeffs": ["0"] * 32}
+    assert dot([((3, 0), z5, z24), ((1, 0), z5, -z24)]).m == 120
+
+
+def test_dot_psi_at_trace_zero():
+    F = build_field(2, 2)
+    psi = AdditiveChar(F, 0)
+    x = next(x for x in range(F.q - 1) if F.trace_to_prime(x) == 0)
+    assert psi.root(x) == (2, 0) and psi.root(ZERO) == (1, 0)
+    value = dot([(psi.root(x), one(), None)])
+    assert value.to_dict() == psi.eval(x).to_dict() == {"m": 2, "coeffs": ["1"]}
+    assert dot([(psi.root(ZERO), one(), None)]).m == 1

@@ -4,11 +4,13 @@ Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the integer rewrite of ``cyclo``; the
 character tables of GL_3(F_2), GL_3(F_3) and GL_4(F_2) were recorded before
 the one-pass class map, those of GL_3(F_4) and GL_2(F_9) before the generated
-characteristic polynomial, and the four ``verify`` reports on GL_2(F_3),
-GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded before
-the table-driven matrix product.  Any change to an exact value, to the JSON/CSV
-layout, to the order or count of conjugacy classes or to a float printed
-from an embedding shows up here.
+characteristic polynomial, and the eight ``verify`` reports on GL_2(F_3),
+GL_2(F_4), GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded
+before the table-driven matrix product.  The vanishing, realization, Bessel
+and epsilon reports run every character sum of ``bessel`` and ``epsilon``.
+Any change to an exact value, to the order of a cyclotomic value, to the
+JSON/CSV layout, to the order or count of conjugacy classes or to a float
+printed from an embedding shows up here.
 """
 
 import hashlib
@@ -43,6 +45,10 @@ CASES = {
     "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-cusp-gl2-f5": ("verify", "--suite", "cusp", "--q", "5", "--r", "2", "--seed", "11"),
     "verify-glq-gl3-f2": ("verify", "--suite", "glq", "--q", "2", "--r", "3", "--seed", "33"),
+    "verify-vanishing-gl2-f3": ("verify", "--suite", "vanishing", "--q", "3", "--r", "2", "--seed", "11"),
+    "verify-realization-gl3-f2": ("verify", "--suite", "realization", "--q", "2", "--r", "3", "--seed", "11"),
+    "verify-bessel-gl3-f2": ("verify", "--suite", "bessel", "--q", "2", "--r", "3", "--seed", "11"),
+    "verify-epsilon-gl2-f4": ("verify", "--suite", "epsilon", "--q", "4", "--r", "2", "--seed", "11"),
 }
 
 DIGESTS = {
@@ -61,10 +67,14 @@ DIGESTS = {
     "epsilon-gl3-f2": "0f6ab86dbf947bffd395ea8f315de768202ecfe91b798cc8dd9d3196dcd59d1c",
     "readme-pipe": "136faba33ea6f904e453b0147daae17e4b989329cb84af6a59b2619e67811425",
     "verify-bessel-gl2-f3": "8d3bd8a854361c693b94756355e6062fb1e36059a4e53a8702d8db8b5a33869e",
+    "verify-bessel-gl3-f2": "b988fdcbf7a1ab8ee58c25028b2d7ca73be9b51856d366c30940bd0f981c03f9",
     "verify-cusp-gl2-f5": "5b707617e3811aa666cce534f0898cfd049408552ad71019f2370ad0d847bdae",
     "verify-cyclo": "c1a3273c3602aa9d8211173a5757012ab0c577d9ce2abb88960748ac79cbca54",
+    "verify-epsilon-gl2-f4": "de8b00e4d158852f1308f9c9a805585ee125169557bffb531dc6d4c566495a53",
     "verify-glq-gl3-f2": "2029c4e828bfbf45381bfb97605e8e4807d391badee465f996d933b73e0d7196",
     "verify-realization-gl2-f3": "472a3f1d82a48c5eab8dc1b90a8db0af250181e4a60202a9878f6088c1a100ef",
+    "verify-realization-gl3-f2": "a2f84c0a20753e7b3800235dd8879240e58b0c93f6c99655eccaf7865524f700",
+    "verify-vanishing-gl2-f3": "0d8956be3e94803cb7e6249945f3a7d006e447f34a50e9890a9721103fd62395",
 }
 
 
