@@ -349,8 +349,9 @@ def zeta_tilde_oracle(
 
     * shell 0 is A = q^{-r/2} * sum_{y in torus} phi(y^-1)
       sum_{h in U\\Stab} J_1(hy) J_2(hy), summed by brute force;
-    * shells v < 0 carry a common factor P = sum_{U\\G} J_1 J_2 (brute force)
-      and a geometric variable x = (t2/t1) q^{-r} * Y with Y = q^{r*s}.
+    * shells v < 0 carry a common factor P = sum_{U\\G} J_1 J_2, read off
+      shell 0 as the sum over the torus of the inner sums over U\\Stab, and a
+      geometric variable x = (t2/t1) q^{-r} * Y with Y = q^{r*s}.
 
     Dividing by the dual L-factor and multiplying by L(tau1 x dual(tau2), s)
     must produce an exact monomial in Y; the polynomial division is performed
@@ -364,13 +365,12 @@ def zeta_tilde_oracle(
     j2 = get_evaluator(tau2.sigma, psi)
     w = tau2.central_sign()
 
+    # S_e = sum over U\Stab of J_1(h y_e) J_2(h y_e); (h, y) -> h y is a
+    # bijection U\Stab x T -> U\G, so P is the sum of the S_e
     stab_reps = group.coset_reps(STABILIZER)
-    a_value = dot(
-        (_phi_weight(group, psi, e), _pair_sum(j1, j2, stab_reps, group.singer_matrix(e)), None)
-        for e in range(q_b - 1)
-    )
-
-    p_value = pair_sum_vanishing(tau1.sigma, tau2.sigma, psi, group.identity())
+    shells = [_pair_sum(j1, j2, stab_reps, group.singer_matrix(e)) for e in range(q_b - 1)]
+    a_value = dot((_phi_weight(group, psi, e), s_e, None) for e, s_e in enumerate(shells))
+    p_value = dot((UNIT, s_e, None) for s_e in shells)
     lfac = l_factor_pair(tau1, tau2)
 
     if tau1.sigma != tau2.sigma:

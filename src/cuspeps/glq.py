@@ -21,11 +21,14 @@ vanishes there).  The primary characteristic polynomials are those of the
 Singer matrices of the orbits' smallest elements; the Jordan partition comes
 from the nullities of (g - x)^j over GF(q^d), x = g^eig, when r/d >= 2.
 
-:meth:`GLGroup.class_map` counts the elements of every key in one pass over
-all r x r matrices.  det(x*I - g) is linear in the last row of g, so it is
-two generated functions: ``prefix`` reads the first r - 1 rows once, and
-``last`` adds in each last row with at most r^2 lookups; the constant term
-tells whether g is invertible.
+Each of the four matrix subgroups is described once, by the fixed leading
+entries of every row (:func:`_leads`); the rest of each row is free, and
+``contains`` checks those leads.  ``iterate`` and ``class_map`` share one
+row-pattern scan (:meth:`GLGroup._scan`).  det(x*I - g) is linear in the
+last row of g, so it is two generated functions: ``prefix`` reads the first
+r - 1 rows once, and ``last`` adds in each last row with at most r^2
+lookups.  The constant term tells whether g is invertible, so no candidate
+matrix is built to be tested.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
@@ -227,6 +230,23 @@ def _charpoly(F: FieldSpec, rows) -> tuple:
     return last(tables, prefix(tables, rows[:-1]), rows[-1])
 
 
+@functools.cache
+def _leads(kind: str, r: int) -> tuple[tuple[int, ...], ...]:
+    """The fixed leading entries of each row of the r x r matrices of a subgroup.
+
+    The rest of each row is free; with invertibility this is the whole
+    description (U is invertible by its leads alone)."""
+    if kind == FULL:
+        return ((),) * r
+    if kind == UNIPOTENT:
+        return tuple((ZERO,) * i + (0,) for i in range(r))
+    if kind == MIRABOLIC:
+        return ((),) * (r - 1) + ((ZERO,) * (r - 1) + (0,),)
+    if kind == STABILIZER:
+        return ((0,),) + ((ZERO,),) * (r - 1)
+    raise ValueError(f"unknown subgroup kind {kind!r}")
+
+
 def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
     """Rank by row reduction over the field's (add, mul) tables (rows are consumed)."""
     add, mul = F.tables()
@@ -351,41 +371,33 @@ class GLGroup:
     def iterate(self, kind: str):
         """Deterministic stream over a subgroup, each element exactly once."""
         self._check_bound(kind)
-        F, r = self.field, self.r
-        elems = list(F.elements())
         if kind == SINGER:
-            for e in range(self.q**r - 1):
+            for e in range(self.q**self.r - 1):
                 yield self.singer_matrix(e)
             return
-        if kind == UNIPOTENT:
-            free = [(i, j) for i in range(r) for j in range(i + 1, r)]
-            for vals in itertools.product(elems, repeat=len(free)):
-                rows = [[0 if i == j else ZERO for j in range(r)] for i in range(r)]
-                for (i, j), v in zip(free, vals):
-                    rows[i][j] = v
-                yield Mat(F, rows)
-            return
-        if kind == FULL:
-            positions = [(i, j) for i in range(r) for j in range(r)]
-            fixed = {}
-        elif kind == MIRABOLIC:
-            positions = [(i, j) for i in range(r - 1) for j in range(r)]
-            fixed = {(r - 1, j): ZERO for j in range(r - 1)}
-            fixed[(r - 1, r - 1)] = 0
-        elif kind == STABILIZER:
-            positions = [(i, j) for i in range(r) for j in range(1, r)]
-            fixed = {(i, 0): (0 if i == 0 else ZERO) for i in range(r)}
-        else:
-            raise ValueError(f"unknown subgroup kind {kind!r}")
-        for vals in itertools.product(elems, repeat=len(positions)):
-            rows = [[ZERO] * r for _ in range(r)]
-            for (i, j), v in fixed.items():
-                rows[i][j] = v
-            for (i, j), v in zip(positions, vals):
-                rows[i][j] = v
-            m = Mat(F, rows)
-            if m.det() != ZERO:
-                yield m
+        F = self.field
+        for rows, _ in self._scan(kind):
+            yield Mat(F, rows)
+
+    def _scan(self, kind: str):
+        """(rows, charpoly) of each invertible matrix of a subgroup, in enumeration order.
+
+        Row i runs over its leads followed by every tuple of free entries;
+        ``prefix`` runs once per choice of the first r - 1 rows, ``last`` once
+        per last row, and a zero constant term marks a singular matrix."""
+        F, r = self.field, self.r
+        prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
+        tables = (*F.tables(), F.neg(0))
+        elems = list(F.elements())
+        choices = [[lead + free for free in itertools.product(elems, repeat=r - len(lead))]
+                   for lead in _leads(kind, r)]
+        lasts = choices.pop()
+        for top in itertools.product(*choices):
+            pre = prefix(tables, top)
+            for v in lasts:
+                cp = last(tables, pre, v)
+                if cp[0] != ZERO:
+                    yield top + (v,), cp
 
     def elements(self, kind: str) -> tuple[Mat, ...]:
         if kind not in self._subgroup_cache:
@@ -395,26 +407,16 @@ class GLGroup:
         return self._subgroup_cache[kind]
 
     def contains(self, kind: str, m: Mat) -> bool:
-        r = self.r
-        if m.field is not self.field or m.r != r:
+        """Whether m lies in the subgroup: a matrix of this group, invertible,
+        with the kind's row leads (or, for SINGER, a torus element)."""
+        if m.field is not self.field or m.r != self.r:
             return False
-        if kind == FULL:
-            return m.det() != ZERO
-        if kind == UNIPOTENT:
-            return all(
-                m.rows[i][j] == (0 if i == j else ZERO)
-                for i in range(r)
-                for j in range(i + 1)
-            )
-        if kind == MIRABOLIC:
-            last = m.rows[r - 1]
-            return all(last[j] == ZERO for j in range(r - 1)) and last[r - 1] == 0 and m.det() != ZERO
-        if kind == STABILIZER:
-            return all(m.rows[i][0] == (0 if i == 0 else ZERO) for i in range(r)) and m.det() != ZERO
         if kind == SINGER:
-            x, h = self.singer_decompose(m)
-            return h == Mat.identity(self.field, r)
-        raise ValueError(f"unknown subgroup kind {kind!r}")
+            return m.det() != ZERO and self.singer_decompose(m)[1] == self.identity()
+        for row, lead in zip(m.rows, _leads(kind, self.r)):
+            if row[:len(lead)] != lead:
+                return False
+        return kind == UNIPOTENT or m.det() != ZERO
 
     # -- nondegenerate character of U ------------------------------------
 
@@ -598,33 +600,20 @@ class GLGroup:
     def class_map(self) -> dict[ClassKey, list]:
         """key -> [element count, representative], over the full group.
 
-        One pass over all r x r matrices in the enumeration order of
-        ``iterate(FULL)``: the generated ``prefix`` runs once for each first
-        r - 1 rows and ``last`` once for each last row; the constant term of
-        the charpoly decides invertibility, so singular matrices, including
-        all those with dependent first rows, are skipped there.  Counts are
-        exact, keys appear in first-appearance order and each representative
-        is the first element with its key."""
+        One pass of the scan behind ``iterate(FULL)``, which hands over each
+        element's charpoly with its rows.  Counts are exact, keys appear in
+        first-appearance order and each representative is the first element
+        with its key."""
         if self._class_map is None:
             self._check_bound(FULL)
-            F, r = self.field, self.r
-            prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
-            tables = (*F.tables(), F.neg(0))
-            vectors = list(itertools.product(list(F.elements()), repeat=r))
             table: dict[ClassKey, list] = {}
-            for top in itertools.product(vectors, repeat=r - 1):
-                pre = prefix(tables, top)
-                for v in vectors:
-                    cp = last(tables, pre, v)
-                    if cp[0] == ZERO:
-                        continue
-                    rows = top + (v,)
-                    key = self._key_of(cp, rows)
-                    slot = table.get(key)
-                    if slot is None:
-                        table[key] = [1, Mat(F, rows)]
-                    else:
-                        slot[0] += 1
+            for rows, cp in self._scan(FULL):
+                key = self._key_of(cp, rows)
+                slot = table.get(key)
+                if slot is None:
+                    table[key] = [1, Mat(self.field, rows)]
+                else:
+                    slot[0] += 1
             assert sum(c for c, _ in table.values()) == self.order()
             self._class_map = table
         return self._class_map

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspeps import verify
+from cuspeps import epsilon, verify
 from cuspeps.bessel import get_evaluator
 from cuspeps.cusp import list_cuspidals
 from cuspeps.cyclo import root_of_unity, zero
@@ -24,8 +24,8 @@ from cuspeps.epsilon import (
     whittaker_eval,
     zeta_tilde_oracle,
 )
-from cuspeps.ffield import AdditiveChar
-from cuspeps.glq import FULL, MIRABOLIC, UNIPOTENT, Mat, gl_group
+from cuspeps.ffield import AdditiveChar, build_field
+from cuspeps.glq import FULL, MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat, gl_group
 
 
 def _setup(q, r):
@@ -233,6 +233,28 @@ def test_oracle_sampled_larger_groups():
             tau2 = LevelZeroRep(rng.choice(cusps))
             eps = epsilon_pair(tau1, tau2, psi)
             assert zeta_tilde_oracle(tau1, tau2, psi) == eps
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_shell_sums_add_up_to_full_pair_sum(q, r):
+    """The oracle's P: the stabilizer shell sums S_e over the torus give the U\\G sum."""
+    group, psi, cusps = _setup(q, r)
+    stab_reps = group.coset_reps(STABILIZER)
+    for s1 in cusps:
+        for s2 in cusps:
+            j1, j2 = get_evaluator(s1, psi), get_evaluator(s2, psi)
+            total = zero()
+            for e in range(group.q**r - 1):
+                total = total + epsilon._pair_sum(j1, j2, stab_reps, group.singer_matrix(e))
+            assert total == pair_sum_vanishing(s1, s2, psi, group.identity())
+
+
+def test_oracle_builds_no_full_coset_reps():
+    group = GLGroup(build_field(3, 1), 2)
+    psi = AdditiveChar(group.field, 0)
+    tau = LevelZeroRep(list_cuspidals(group)[0], RootOfUnity(3, 1))
+    assert zeta_tilde_oracle(tau, LevelZeroRep(tau.sigma), psi) == epsilon_pair(tau, LevelZeroRep(tau.sigma), psi)
+    assert FULL not in group._coset_cache
 
 
 def test_sampled_oracle_failure_is_reported(monkeypatch):

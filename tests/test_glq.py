@@ -492,8 +492,92 @@ def test_subgroup_spec():
     assert sum(1 for _ in group.iterate(MIRABOLIC)) == 6
     assert group.contains(MIRABOLIC, Mat.from_ints(group.field, [[2, 1], [0, 1]]))
     assert not group.contains(MIRABOLIC, group.singer_matrix(1))
+    assert not group.contains(SINGER, Mat.from_ints(group.field, [[0, 1], [0, 1]]))
     with pytest.raises(ValueError):
         group.subgroup_order("borel")
+
+
+# -- the row-pattern scan ----------------------------------------------------
+
+
+def _oracle_iterate(group, kind):
+    """Reference enumeration: every filling of the free positions, kept when det != 0."""
+    F, r = group.field, group.r
+    elems = list(F.elements())
+    if kind == UNIPOTENT:
+        free = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        for vals in itertools.product(elems, repeat=len(free)):
+            rows = [[0 if i == j else ZERO for j in range(r)] for i in range(r)]
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            yield Mat(F, rows)
+        return
+    if kind == FULL:
+        positions = [(i, j) for i in range(r) for j in range(r)]
+        fixed = {}
+    elif kind == MIRABOLIC:
+        positions = [(i, j) for i in range(r - 1) for j in range(r)]
+        fixed = {(r - 1, j): ZERO for j in range(r - 1)}
+        fixed[(r - 1, r - 1)] = 0
+    else:
+        assert kind == STABILIZER
+        positions = [(i, j) for i in range(r) for j in range(1, r)]
+        fixed = {(i, 0): (0 if i == 0 else ZERO) for i in range(r)}
+    for vals in itertools.product(elems, repeat=len(positions)):
+        rows = [[ZERO] * r for _ in range(r)]
+        for (i, j), v in fixed.items():
+            rows[i][j] = v
+        for (i, j), v in zip(positions, vals):
+            rows[i][j] = v
+        m = Mat(F, rows)
+        if m.det() != ZERO:
+            yield m
+
+
+def _oracle_contains(group, kind, m):
+    """Reference membership: one hand-written branch per kind; SINGER by the torus itself."""
+    r = group.r
+    if m.field is not group.field or m.r != r:
+        return False
+    if kind == FULL:
+        return m.det() != ZERO
+    if kind == UNIPOTENT:
+        return all(m.rows[i][j] == (0 if i == j else ZERO) for i in range(r) for j in range(i + 1))
+    if kind == MIRABOLIC:
+        last = m.rows[r - 1]
+        return all(last[j] == ZERO for j in range(r - 1)) and last[r - 1] == 0 and m.det() != ZERO
+    if kind == STABILIZER:
+        return all(m.rows[i][0] == (0 if i == 0 else ZERO) for i in range(r)) and m.det() != ZERO
+    assert kind == SINGER
+    return m in {group.singer_matrix(e) for e in range(group.q**r - 1)}
+
+
+SCAN_KINDS = (FULL, UNIPOTENT, MIRABOLIC, STABILIZER)
+
+
+@pytest.mark.parametrize("q,r", [
+    *[(q, 1) for q in (2, 3, 4, 7)], *[(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)], (2, 3), (3, 3), (2, 4), (4, 3),
+])
+def test_iterate_matches_oracle_order(q, r):
+    group = gl_group(q, r)
+    # the reference would test 4^9 candidates for GL_3(F_4): the small kinds only
+    kinds = SCAN_KINDS[1:] if (q, r) == (4, 3) else SCAN_KINDS
+    for kind in kinds:
+        assert list(group.iterate(kind)) == list(_oracle_iterate(group, kind)), kind
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_contains_matches_oracle(q, r):
+    """Every r x r matrix, singular ones included, and matrices of another field or size."""
+    group = gl_group(q, r)
+    F = group.field
+    mats = [Mat(F, [entries[i * r:(i + 1) * r] for i in range(r)])
+            for entries in itertools.product(list(F.elements()), repeat=r * r)]
+    other_field = gl_group(5, r).identity()
+    other_size = gl_group(q, r + 1).identity()
+    for kind in (*SCAN_KINDS, SINGER):
+        for m in (*mats, other_field, other_size):
+            assert group.contains(kind, m) == _oracle_contains(group, kind, m), (kind, m)
 
 
 # -- the table-driven product ------------------------------------------------

@@ -4,7 +4,9 @@ Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the integer rewrite of ``cyclo``; the
 character tables of GL_3(F_2), GL_3(F_3) and GL_4(F_2) were recorded before
 the one-pass class map, those of GL_3(F_4) and GL_2(F_9) before the generated
-characteristic polynomial, and the eight ``verify`` reports on GL_2(F_3),
+characteristic polynomial, the four Bessel tables (printed in the
+enumeration order of G, of the mirabolic subgroup or of U) before the
+row-pattern scan, and the eight ``verify`` reports on GL_2(F_3),
 GL_2(F_4), GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded
 before the table-driven matrix product.  The vanishing, realization, Bessel
 and epsilon reports run every character sum of ``bessel`` and ``epsilon``.
@@ -40,6 +42,12 @@ CASES = {
     "cuspidals-gl3-f4-csv": ("cuspidals", "--q", "4", "--r", "3", "--format", "csv"),
     "cuspidals-gl2-f9-json": ("cuspidals", "--q", "9", "--r", "2", "--format", "json"),
     "bessel": ("bessel", "--q", "3", "--r", "2", "--theta", "1"),
+    "bessel-gl3-f2-full": ("bessel", "--q", "2", "--r", "3", "--theta", "1", "--domain", "full"),
+    "bessel-gl3-f2-mirabolic": ("bessel", "--q", "2", "--r", "3", "--theta", "1", "--domain", "mirabolic"),
+    "bessel-gl3-f3-mirabolic-csv": (
+        "bessel", "--q", "3", "--r", "3", "--theta", "1", "--domain", "mirabolic", "--format", "csv",
+    ),
+    "bessel-gl4-f2-u": ("bessel", "--q", "2", "--r", "4", "--theta", "1", "--domain", "u"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
     "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
@@ -53,6 +61,10 @@ CASES = {
 
 DIGESTS = {
     "bessel": "9d8667d7c3a605c7db1c7bde6c452873b1a837777e3a18787aadc67f597d1d37",
+    "bessel-gl3-f2-full": "9c6be3fe0377586750be4a5881e890b75ce2e68277825d977e0fc1f93c016f00",
+    "bessel-gl3-f2-mirabolic": "7604a02480693b78b183e95c19f86940cc367a1712b595806572e664f439201b",
+    "bessel-gl3-f3-mirabolic-csv": "93034403ae11257fb3d153d9c7a5ecbebd3016a989aafc0eff42e24725806dfb",
+    "bessel-gl4-f2-u": "94299bf53e2ac727fdb7c3b9b25bf673ff1bae50a3a565860fc6ba52df16f7f0",
     "cuspidals-csv": "6bc37f87ecffd6646eae20821194e5cd7d14c6ababdb624ce90f8eded41f3c71",
     "cuspidals-gl3-f2-csv": "cc641eeca1bddc180c581a5a91061ffdca1a1008c7b4e3ae0a17d17cfcb2c182",
     "cuspidals-gl3-f2-json": "83ef6c7bfa96e0d4045457ab7f092af085688e150d24d46ae996024d33d6a819",
