@@ -24,11 +24,13 @@ from the nullities of (g - x)^j over GF(q^d), x = g^eig, when r/d >= 2.
 Each of the four matrix subgroups is described once, by the fixed leading
 entries of every row (:func:`_leads`); the rest of each row is free, and
 ``contains`` checks those leads.  ``iterate`` and ``class_map`` share one
-row-pattern scan (:meth:`GLGroup._scan`).  det(x*I - g) is linear in the
-last row of g, so it is two generated functions: ``prefix`` reads the first
-r - 1 rows once, and ``last`` adds in each last row with at most r^2
-lookups.  The constant term tells whether g is invertible, so no candidate
-matrix is built to be tested.
+row-pattern scan (:meth:`GLGroup._scan`).  ``coset_reps`` builds the first
+element of each coset U*g from the same rows: U adds multiples of lower rows
+to upper rows, so that element has ZERO wherever a lower row starts (has its
+first nonzero entry).  det(x*I - g) is linear in the last row of g, so it is
+two generated functions: ``prefix`` reads the first r - 1 rows once, and
+``last`` adds in each last row with at most r^2 lookups.  The constant term
+tells whether g is invertible, so no candidate matrix is built to be tested.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
@@ -57,7 +59,7 @@ __all__ = [
     "conjugate_partition",
 ]
 
-DEFAULT_ELEMENT_BOUND = 10**6
+ELEMENT_BOUND = 10**6
 
 FULL = "full"
 UNIPOTENT = "unipotent"
@@ -74,10 +76,6 @@ class Mat:
     def __init__(self, field: FieldSpec, rows):
         self.field = field
         self.rows = tuple(tuple(row) for row in rows)
-
-    @classmethod
-    def identity(cls, field: FieldSpec, r: int) -> "Mat":
-        return cls(field, [[0 if i == j else ZERO for j in range(r)] for i in range(r)])
 
     @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
@@ -310,13 +308,12 @@ class GLGroup:
     All public methods are pure; the caches are append-only.
     """
 
-    def __init__(self, field: FieldSpec, r: int, element_bound: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, field: FieldSpec, r: int):
         if r < 1:
             raise ValueError("r must be >= 1")
         self.field = field
         self.r = r
         self.q = field.q
-        self.element_bound = element_bound
         self.big_field = build_field(field.p, field.k * r)
         self._ext: dict[int, FieldSpec] = {1: field, r: self.big_field}
         self._ext_embed: dict[int, tuple[int, ...]] = {}
@@ -360,10 +357,10 @@ class GLGroup:
 
     def _check_bound(self, kind: str):
         size = self.subgroup_order(kind)
-        if size > self.element_bound:
+        if size > ELEMENT_BOUND:
             raise ValueError(
                 f"subgroup {kind} of GL_{self.r}(F_{self.q}) has "
-                f"{size} elements, over the bound {self.element_bound}"
+                f"{size} elements, over the bound {ELEMENT_BOUND}"
             )
 
     # -- enumeration -----------------------------------------------------
@@ -388,9 +385,7 @@ class GLGroup:
         F, r = self.field, self.r
         prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
         tables = (*F.tables(), F.neg(0))
-        elems = list(F.elements())
-        choices = [[lead + free for free in itertools.product(elems, repeat=r - len(lead))]
-                   for lead in _leads(kind, r)]
+        choices = [self._rows(lead) for lead in _leads(kind, r)]
         lasts = choices.pop()
         for top in itertools.product(*choices):
             pre = prefix(tables, top)
@@ -398,6 +393,12 @@ class GLGroup:
                 cp = last(tables, pre, v)
                 if cp[0] != ZERO:
                     yield top + (v,), cp
+
+    def _rows(self, lead: tuple[int, ...], zeros: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+        """Each row with this lead and ZERO in the columns ``zeros``, the rest free, in enumeration order."""
+        elems = tuple(self.field.elements())
+        free = ((ZERO,) if c in zeros else elems for c in range(len(lead), self.r))
+        return [lead + tail for tail in itertools.product(*free)]
 
     def elements(self, kind: str) -> tuple[Mat, ...]:
         if kind not in self._subgroup_cache:
@@ -422,12 +423,12 @@ class GLGroup:
 
     def psi_u(self, u: Mat, psi: AdditiveChar) -> CycloNumber:
         """psi(sum of superdiagonal entries); a nondegenerate character of U."""
+        if not self.contains(UNIPOTENT, u):
+            raise ValueError("matrix is not unipotent upper-triangular")
         return root_of_unity(*self.psi_u_root(u, psi))
 
     def psi_u_root(self, u: Mat, psi: AdditiveChar) -> tuple[int, int]:
-        """psi_u(u, psi) as (order, exponent), see :meth:`AdditiveChar.root`."""
-        if not self.contains(UNIPOTENT, u):
-            raise ValueError("matrix is not unipotent upper-triangular")
+        """psi_u(u, psi) as (order, exponent), see :meth:`AdditiveChar.root`; u in U is not checked."""
         F = self.field
         acc = ZERO
         for i in range(self.r - 1):
@@ -445,17 +446,14 @@ class GLGroup:
 
     def _build_singer(self):
         """Coordinates of GF(q^r) in the basis 1, G, ..., G^{r-1} over GF(q)."""
-        F, K, r = self.field, self.big_field, self.r
-        basis = [K.pow(0, 0)] if r == 1 else [(1 * i) % (K.q - 1) for i in range(r)]
-        # basis element G^i has log i
+        F, K = self.field, self.big_field
         coeffs: dict[int, tuple[int, ...]] = {}
         index: dict[tuple[int, ...], int] = {}
-        for tup in itertools.product(list(F.elements()), repeat=r):
+        for tup in self._rows(()):
             acc = ZERO
             for i, c in enumerate(tup):
-                if c != ZERO:
-                    term = K.mul(subfield_embed(c, F, K), basis[i] if r > 1 else 0)
-                    acc = K.add(acc, term)
+                if c != ZERO:  # the basis element G^i has log i
+                    acc = K.add(acc, K.mul(subfield_embed(c, F, K), i))
             coeffs[acc] = tup
             index[tup] = acc
         table = [coeffs[e] for e in range(K.q - 1)]
@@ -486,7 +484,7 @@ class GLGroup:
         x = self._singer_index[first_col]
         if x == ZERO:
             raise ValueError("matrix is singular")
-        h = self.singer_matrix(x).inv() * g
+        h = self.singer_matrix(-x) * g  # the torus inverse of g_big^x is g_big^-x
         return x, h
 
     # -- coset representatives -------------------------------------------
@@ -494,25 +492,28 @@ class GLGroup:
     def coset_reps(self, kind: str) -> tuple[Mat, ...]:
         """Representatives of U\\M for M in {full, mirabolic, stabilizer}.
 
-        The identity always represents the trivial coset; the rest follow in
-        enumeration order.  One representative per coset, count |M|/|U|."""
+        The identity represents U and comes first; every other coset follows in
+        enumeration order, represented by its first element: the one with ZERO
+        wherever a lower row starts (see the module docstring), built bottom up."""
         if kind not in (FULL, MIRABOLIC, STABILIZER):
             raise ValueError(f"no unipotent coset decomposition for {kind!r}")
         if kind in self._coset_cache:
             return self._coset_cache[kind]
-        unip = self.elements(UNIPOTENT)
-        seen: set[Mat] = set()
-        reps: list[Mat] = []
-        ident = Mat.identity(self.field, self.r)
-        for g in itertools.chain([ident], self.iterate(kind)):
-            if g in seen:
-                continue
-            reps.append(g)
-            for u in unip:
-                seen.add(u * g)
+        self._check_bound(kind)
+        built = [((), ())]  # (the rows from some row down, the column where each starts)
+        for lead in reversed(_leads(kind, self.r)):  # no lead sits where a lower row starts
+            grown = []
+            for below, starts in built:
+                for row in self._rows(lead, starts):
+                    start = next((c for c, x in enumerate(row) if x != ZERO), None)
+                    if start is not None:
+                        grown.append(((row, *below), (*starts, start)))
+            built = grown
+        first = self.identity().rows
+        reps = sorted((rows for rows, _ in built), key=lambda rows: (rows != first, rows))
         expected = self.subgroup_order(kind) // self.subgroup_order(UNIPOTENT)
         assert len(reps) == expected, "coset partition does not tile the subgroup"
-        out = tuple(reps)
+        out = tuple(Mat(self.field, rows) for rows in reps)
         self._coset_cache[kind] = out
         return out
 
@@ -619,10 +620,10 @@ class GLGroup:
         return self._class_map
 
     def identity(self) -> Mat:
-        return Mat.identity(self.field, self.r)
+        return Mat(self.field, [[0 if i == j else ZERO for j in range(self.r)] for i in range(self.r)])
 
 
-_GROUPS: dict[tuple[int, int, int], GLGroup] = {}
+_GROUPS: dict[tuple[int, int], GLGroup] = {}
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -638,10 +639,9 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def gl_group(q: int, r: int, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GLGroup:
+def gl_group(q: int, r: int) -> GLGroup:
     """Shared GLGroup instance for GL_r(F_q)."""
     p, k = _prime_power(q)
-    key = (q, r, element_bound)
-    if key not in _GROUPS:
-        _GROUPS[key] = GLGroup(build_field(p, k), r, element_bound)
-    return _GROUPS[key]
+    if (q, r) not in _GROUPS:
+        _GROUPS[q, r] = GLGroup(build_field(p, k), r)
+    return _GROUPS[q, r]

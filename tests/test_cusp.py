@@ -14,8 +14,8 @@ from cuspeps.cusp import (
     list_cuspidals,
     mirabolic_restriction_check,
 )
-from cuspeps.ffield import ZERO, AdditiveChar
-from cuspeps.glq import FULL, MIRABOLIC, Mat, gl_group
+from cuspeps.ffield import ZERO, AdditiveChar, build_field
+from cuspeps.glq import FULL, MIRABOLIC, GLGroup, Mat, gl_group
 
 
 def test_cuspidal_counts():
@@ -180,3 +180,15 @@ def test_induced_character_is_computed_once_per_group_kind_psi(monkeypatch):
         assert mirabolic_restriction_check(sigma, psi)
         assert gelfand_graev_mult(sigma, psi) == 1
     assert products == []
+
+
+def test_induced_psi_checks_each_conjugate_once(monkeypatch):
+    """One unipotent test per coset: psi_u_root trusts the filter before it."""
+    group = GLGroup(build_field(2, 1), 3)
+    calls = []
+    contains = group.contains
+    monkeypatch.setattr(group, "contains", lambda kind, m: calls.append(kind) or contains(kind, m))
+    value = induced_psi_character(group, MIRABOLIC, AdditiveChar(group.field, 0), group.identity())
+    reps = group.coset_reps(MIRABOLIC)
+    assert value == one().scale(len(reps))
+    assert len(calls) == len(reps)

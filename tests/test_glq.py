@@ -16,6 +16,7 @@ from cuspeps.glq import (
     STABILIZER,
     UNIPOTENT,
     ClassKey,
+    GLGroup,
     Mat,
     conjugate_partition,
     gl_group,
@@ -432,6 +433,14 @@ def test_singer_decomposition():
         assert len(seen) == group.order()
 
 
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2), (2, 3), (3, 3)])
+def test_singer_inverse_is_exponent_negation(q, r):
+    """singer_decompose relies on it in place of Mat.inv."""
+    group = gl_group(q, r)
+    for e in range(group.q**r - 1):
+        assert group.singer_matrix(-e) == group.singer_matrix(e).inv()
+
+
 def test_singer_torus_is_multiplicative():
     group = gl_group(3, 2)
     n = group.big_field.q - 1
@@ -459,6 +468,51 @@ def test_coset_reps_partition():
             for u in group.elements(UNIPOTENT):
                 cosets.add(u * rep)
         assert len(cosets) == group.subgroup_order(kind)
+
+
+def _oracle_coset_reps(group, kind):
+    """Reference U\\M representatives: the identity, then each element of M, in
+    enumeration order, that no earlier representative's coset holds."""
+    unip = group.elements(UNIPOTENT)
+    seen = set()
+    reps = []
+    for g in itertools.chain([group.identity()], group.iterate(kind)):
+        if g in seen:
+            continue
+        reps.append(g)
+        for u in unip:
+            seen.add(u * g)
+    return reps
+
+
+COSET_KINDS = (FULL, MIRABOLIC, STABILIZER)
+
+
+@pytest.mark.parametrize("q,r", [
+    *[(q, 1) for q in (2, 3, 7, 9)], *[(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)], (2, 3), (3, 3), (4, 3), (2, 4), (5, 3),
+])
+def test_coset_reps_match_oracle_order(q, r):
+    group = gl_group(q, r)
+    # GL_3(F_5) is over the element bound: its mirabolic and stabilizer only
+    kinds = COSET_KINDS[1:] if (q, r) == (5, 3) else COSET_KINDS
+    for kind in kinds:
+        assert list(group.coset_reps(kind)) == _oracle_coset_reps(group, kind), kind
+
+
+def test_coset_reps_enumerate_no_subgroup():
+    group = GLGroup(build_field(3, 1), 3)
+    for kind in COSET_KINDS:
+        assert len(group.coset_reps(kind)) == group.subgroup_order(kind) // group.subgroup_order(UNIPOTENT)
+    assert group._subgroup_cache == {}
+
+
+def test_coset_reps_bound_exits_2(capsys):
+    assert cli.main(["epsilon", "--q", "5", "--r", "3", "--theta1", "1", "--theta2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: subgroup full of GL_3(F_5) has 1488000 elements, over the bound 1000000\n"
+    )
 
 
 def test_matrix_serialization():
