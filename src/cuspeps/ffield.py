@@ -297,7 +297,8 @@ class AdditiveChar(Frozen):
 
     def __init__(self, field: FieldSpec, a: int = 0):  # a: log of the shift; 0 is the element 1
         set_field(self, "field", field)
-        set_field(self, "a", a)
+        # Reduced like MultChar.c, so that equal characters compare and hash equal.
+        set_field(self, "a", a if a == ZERO else a % (field.q - 1))
 
     def root(self, x: int) -> tuple[int, int]:
         """psi(x) as (order, exponent): (1, 0) where a*x = 0, else (p, Tr(a*x)),

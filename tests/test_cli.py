@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cuspeps
 from cuspeps import cli
@@ -187,9 +190,46 @@ def test_emit_empty_documents(capsys):
     cli._emit([], "json", None)
     out = capsys.readouterr().out
     assert json.loads(out) == []
+    assert out == "[]\n"
     cli._emit([], "csv", None, csv_headers=["a", "b"])
     out = capsys.readouterr().out
     assert out == "a,b\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_writes_each_record_before_drawing_the_next(fmt):
+    buf = io.StringIO()
+
+    def records():
+        for k in range(3):
+            if k:
+                end = f"{k - 1}\n" if fmt == "csv" else f'"k": {k - 1}\n }}'
+                assert buf.getvalue().endswith(end)
+            yield {"k": k}
+
+    with contextlib.redirect_stdout(buf):
+        cli._emit(records(), fmt, None, ["k"], lambda rec: [[rec["k"]]])
+    assert buf.getvalue().endswith("2\n" if fmt == "csv" else "2\n }\n]\n")
+
+
+JSON_TEXT = st.text(alphabet=st.sampled_from('ab\n"\\\u00e9\u03b6\U0001d53d '), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(JSON_VALUES, max_size=5))
+@example([])
+@example([{}])
+@example([{"a\n\"\u00e9": [[], {}, "x\ny"]}, [], {"": {}}])
+def test_streamed_json_is_one_dumps_of_the_list(items):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(iter(items), "json", None)
+    assert buf.getvalue() == json.dumps(items, sort_keys=True, indent=1) + "\n"
 
 
 def test_output_file(capsys, tmp_path):
@@ -228,13 +268,17 @@ NOT_LOADED = {
 CLI_SCRIPT = "from cuspeps import cli; code = cli.main(sys.argv[1:])"
 
 
+def _child_env():
+    """This environment with the tested cuspeps first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cuspeps.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_modules(script, *argv):
     """Run script, which sets code, in a fresh interpreter; return the exit
     code and the modules it loaded."""
-    src = os.path.dirname(os.path.dirname(cuspeps.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = f"import json, sys; {script}; sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)"
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True)
     return proc.returncode, set(json.loads(proc.stderr))
 
 
@@ -281,3 +325,67 @@ def test_oversized_character_table_is_refused(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(cli.MAX_TABLE_COEFFS) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cuspidals", "--q", "256", "--r", "1"),
+    ("bessel", "--q", "5", "--r", "3", "--theta", "1", "--domain", "full", "--format", "csv"),
+])
+def test_usage_error_writes_no_byte(capsys, tmp_path, argv):
+    """Arguments are checked before the first byte: a refused table (here over
+    MAX_TABLE_COEFFS, or |GL_3(F_5)| over the element bound) prints no CSV
+    header and creates no --out file."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    path = tmp_path / "table"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert not path.exists()
+
+
+def test_additive_shift_modulo_q_minus_1(capsys):
+    argv = ("epsilon", "--q", "3", "--r", "2", "--theta1", "1", "--theta2", "2", "--a")
+    code1, out1, _ = run_cli(capsys, *argv, "1")
+    code7, out7, _ = run_cli(capsys, *argv, "7")
+    assert code1 == code7 == 0 and out1 == out7
+    code, out, _ = run_cli(capsys, *argv, "-1")
+    assert code == 2 and out == ""
+
+
+def _closed_reader_run(argv, unbuffered, read):
+    """Run the CLI in a fresh process whose stdout pipe the reader closes after
+    reading `read` bytes (None: closed before the process starts)."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    script = "import sys; from cuspeps import cli; sys.exit(cli.main(sys.argv[1:]))"
+    cmd = [sys.executable, "-c", script, *argv]
+    if read is None:
+        rfd, wfd = os.pipe()
+        os.close(rfd)
+        try:
+            proc = subprocess.run(cmd, env=env, stdout=wfd, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(wfd)
+        return proc.returncode, proc.stderr
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,read", [
+    # 270 kB of JSON, more than a pipe holds: writes meet the closed pipe.
+    (("cuspidals", "--q", "27", "--r", "1"), 10),
+    # Under 8 kB: with buffered stdout only the final flush meets it.
+    (("field", "--p", "2", "--k", "3"), None),
+])
+def test_reader_closing_stdout_early_is_not_an_error(argv, read, unbuffered):
+    """`cuspeps cuspidals --q 27 --r 1 | head -c 10` exits 0 with nothing on
+    stderr: no internal error and no "Exception ignored" at interpreter exit."""
+    code, err = _closed_reader_run(argv, unbuffered, read)
+    assert (code, err) == (0, b"")

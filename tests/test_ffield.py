@@ -106,6 +106,16 @@ def test_additive_char_laws():
     assert not AdditiveChar(build_field(3, 1), ZERO).nontrivial
 
 
+def test_additive_char_shift_is_reduced():
+    """Shifts that agree modulo q - 1 give one character: equal, with one hash,
+    as MultChar reduces its exponent; ZERO stays the trivial character."""
+    f3 = build_field(3, 1)
+    psi7, psi1 = AdditiveChar(f3, 7), AdditiveChar(f3, 1)
+    assert psi7 == psi1 and hash(psi7) == hash(psi1) and psi7.a == 1
+    assert AdditiveChar(f3, -2) == AdditiveChar(f3, 0)
+    assert AdditiveChar(f3, ZERO).a == ZERO
+
+
 def test_mult_char_examples():
     f9 = build_field(3, 2)
     theta1 = MultChar(f9, 1)

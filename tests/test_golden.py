@@ -8,8 +8,11 @@ characteristic polynomial, the four Bessel tables (printed in the
 enumeration order of G, of the mirabolic subgroup or of U) before the
 row-pattern scan, and the eight ``verify`` reports on GL_2(F_3),
 GL_2(F_4), GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded
-before the table-driven matrix product.  The vanishing, realization, Bessel
-and epsilon reports run every character sum of ``bessel`` and ``epsilon``.
+before the table-driven matrix product.  The two ``field`` tables, the CSV
+epsilon factors, the CSV Bessel table on U of GL_2(F_2) and both tables of
+GL_1(F_27) were recorded before the CLI streamed its output.  The vanishing,
+realization, Bessel and epsilon reports run every character sum of
+``bessel`` and ``epsilon``.
 Any change to an exact value, to the order of a cyclotomic value, to the
 JSON/CSV layout, to the order or count of conjugacy classes or to a float
 printed from an embedding shows up here.
@@ -48,6 +51,17 @@ CASES = {
         "bessel", "--q", "3", "--r", "3", "--theta", "1", "--domain", "mirabolic", "--format", "csv",
     ),
     "bessel-gl4-f2-u": ("bessel", "--q", "2", "--r", "4", "--theta", "1", "--domain", "u"),
+    "field-gf8-json": ("field", "--p", "2", "--k", "3"),
+    "field-gf9-csv": ("field", "--p", "3", "--k", "2", "--format", "csv"),
+    "epsilon-gl2-f3-oracle-csv": (
+        "epsilon", "--q", "3", "--r", "2", "--theta1", "1", "--theta2", "2", "--oracle", "--format", "csv",
+    ),
+    "epsilon-gl2-f4-t1-csv": (
+        "epsilon", "--q", "4", "--r", "2", "--theta1", "6", "--theta2", "6", "--t1", "-1", "--format", "csv",
+    ),
+    "bessel-gl2-f2-u-csv": ("bessel", "--q", "2", "--r", "2", "--theta", "1", "--domain", "u", "--format", "csv"),
+    "cuspidals-gl1-f27-json": ("cuspidals", "--q", "27", "--r", "1"),
+    "cuspidals-gl1-f27-csv": ("cuspidals", "--q", "27", "--r", "1", "--format", "csv"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
     "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
@@ -65,7 +79,10 @@ DIGESTS = {
     "bessel-gl3-f2-mirabolic": "7604a02480693b78b183e95c19f86940cc367a1712b595806572e664f439201b",
     "bessel-gl3-f3-mirabolic-csv": "93034403ae11257fb3d153d9c7a5ecbebd3016a989aafc0eff42e24725806dfb",
     "bessel-gl4-f2-u": "94299bf53e2ac727fdb7c3b9b25bf673ff1bae50a3a565860fc6ba52df16f7f0",
+    "bessel-gl2-f2-u-csv": "11c654aae671ffd7b45cc3748f45ce60832132f2522d5981d50f7a5a58580650",
     "cuspidals-csv": "6bc37f87ecffd6646eae20821194e5cd7d14c6ababdb624ce90f8eded41f3c71",
+    "cuspidals-gl1-f27-csv": "465cfad93fe98d994fe9b201b7a9395a8b1c0bcbc665cede7d40e9699141f4b3",
+    "cuspidals-gl1-f27-json": "cddeca0a2d7290ef12a440a886fb92d813106705369455dabcb22617dad8ed25",
     "cuspidals-gl3-f2-csv": "cc641eeca1bddc180c581a5a91061ffdca1a1008c7b4e3ae0a17d17cfcb2c182",
     "cuspidals-gl3-f2-json": "83ef6c7bfa96e0d4045457ab7f092af085688e150d24d46ae996024d33d6a819",
     "cuspidals-gl3-f3-csv": "769fa0273c4796d94834169db5e30a93495e6af973a8d03a43a9d51bec01fb3e",
@@ -74,9 +91,13 @@ DIGESTS = {
     "cuspidals-gl2-f9-json": "dd3c875ad6fe38fc79ca903153a02984b0f59205a9f92dfd501e29479a66f108",
     "cuspidals-gl4-f2-csv": "be49d69f353af8c813b7a727662b2bb3875ab0cd3d2b5c43bbd4acc8a27c4bd3",
     "cuspidals-gl4-f2-json": "8f1849647a51a392c279d1f01eed7c63ad54673d74adc5621ff85297c06d8d19",
+    "epsilon-gl2-f3-oracle-csv": "937a5792bc784ae2c9630aaf40df0e776a786556754d1bd90cb89339c5d23733",
     "epsilon-gl2-f4-t1": "463984aaa6d0260c15027eb099085b024289ad5b1de2c4e18c388f7804cc60a1",
+    "epsilon-gl2-f4-t1-csv": "e5bf6f659770f675f4dbceb222809ffa5b598cd70931115a40210cbf4fc3b9e8",
     "epsilon-gl2-f5": "a4ae58b304059b6e31186bc6c2dfffaaad8b6c21802d5ace23820e4b7cfadc3c",
     "epsilon-gl3-f2": "0f6ab86dbf947bffd395ea8f315de768202ecfe91b798cc8dd9d3196dcd59d1c",
+    "field-gf8-json": "acfa7d3127ae869cfd9afe79f8bcfeef70cc629e57b65c596e054581fbfc82f0",
+    "field-gf9-csv": "509be72587df0f16d3ae7c09113c5bc8956212f1a56c6cfd138853bdbd1f691f",
     "readme-pipe": "136faba33ea6f904e453b0147daae17e4b989329cb84af6a59b2619e67811425",
     "verify-bessel-gl2-f3": "8d3bd8a854361c693b94756355e6062fb1e36059a4e53a8702d8db8b5a33869e",
     "verify-bessel-gl3-f2": "b988fdcbf7a1ab8ee58c25028b2d7ca73be9b51856d366c30940bd0f981c03f9",
