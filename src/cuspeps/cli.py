@@ -195,6 +195,8 @@ def cmd_epsilon(args):
     group, psi = _group_psi(args)
     tau1 = LevelZeroRep(_cuspidal(group, args.theta1), _parse_root(args.t1))
     tau2 = LevelZeroRep(_cuspidal(group, args.theta2), _parse_root(args.t2))
+    # the oracle first: it refuses a group over the element bound before any sum
+    oracle = zeta_tilde_oracle(tau1, tau2, psi) if args.oracle else None
     eps = epsilon_pair(tau1, tau2, psi)
     lfac = l_factor_pair(tau1, tau2)
     doc = {
@@ -203,8 +205,7 @@ def cmd_epsilon(args):
         "modulus": eps.modulus_at_half(),
         "l_factor": lfac.to_dict(),
     }
-    if args.oracle:
-        oracle = zeta_tilde_oracle(tau1, tau2, psi)
+    if oracle is not None:
         doc["oracle"] = oracle.to_dict()
         doc["oracle_agrees"] = oracle == eps
 

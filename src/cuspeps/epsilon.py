@@ -10,7 +10,11 @@ factor of a pair reduces to finite data:
   psi(h_{r,1}) J_1(h^-1) J_2(h^-1), with w = omega_2(-1)^{r-1}, J_1 the
   Bessel function of sigma_1 and J_2 the entrywise conjugate of the Bessel
   function of sigma_2 (i.e. the Bessel function of the contragredient with
-  the conjugate character).  No dependence on s or on t_1, t_2.
+  the conjugate character).  No dependence on s or on t_1, t_2.  J
+  transforms by psi_U under U on both sides and vanishes off a few Bruhat
+  monomials n = t*w, so the sum over U\\G is computed as the sum of
+  q^len(w) psi(n_{r,1}) J_1(n^-1) J_2(n^-1) over those (q - 1) q^(r-1)
+  monomials (:func:`gauss_pair_sum`): neither G nor U\\G is enumerated.
 
 * equal sigmas:  eps(s) = w * (t_2/t_1) * q^{r*s - r/2}, and the L-factor is
   (1 - (t_1/t_2) q^{-r*s})^{-1}; for tau_1 = tau_2 this gives eps(1/2)^2 = 1.
@@ -21,7 +25,9 @@ summed by brute force over the Singer torus against stabilizer cosets, the
 negative-valuation geometric tail is summed in closed form, and the
 functional equation is solved for epsilon by exact polynomial division
 (raising :class:`OracleError` if the division does not come out exact).  The
-oracle and the direct formula must agree as exact monomials.
+oracle and the direct formula must agree as exact monomials.  They share no
+decomposition: the direct formula uses Bruhat cells, the oracle U\\Stab x T,
+which covers all of G; so only the oracle is held to the element bound on |G|.
 """
 
 from __future__ import annotations
@@ -193,9 +199,13 @@ class SMonomial(Frozen):
         return SMonomial(self.coeff, new_qbase, self.half_exp * f, self.s_coeff * f)
 
     def value_at(self, s) -> complex:
+        """The complex value at s; ValueError if it overflows a float."""
         s = Fraction(s)
         exponent = Fraction(self.half_exp, 2) + self.s_coeff * s
-        return self.coeff.embed() * (self.qbase ** float(exponent))
+        try:
+            return self.coeff.embed() * (self.qbase ** float(exponent))
+        except OverflowError:
+            raise ValueError(f"the value at s = {s} of the monomial {self.to_dict()} overflows a float") from None
 
     def modulus_at_half(self) -> float:
         return abs(self.value_at(Fraction(1, 2)))
@@ -264,20 +274,28 @@ def _psi_check(group: GLGroup, psi: AdditiveChar):
 def gauss_pair_sum(
     sigma1: CuspidalRep, sigma2: CuspidalRep, psi: AdditiveChar
 ) -> CycloNumber:
-    """sum over U\\G of psi(h_{r,1}) J_1(h^-1) J_2(h^-1), exact.
+    """sum over U\\G of psi(h_{r,1}) J_1(h^-1) J_2(h^-1), exact, over the support of J.
 
     J_2 is the entrywise conjugate of the Bessel function of sigma2, i.e. the
-    Bessel function of its contragredient for the conjugate character.  The
-    value does not depend on the choice of coset representatives."""
+    Bessel function of its contragredient for the conjugate character.  Every
+    coset of U\\G is U n u' for one monomial n = t*w and u' in a subgroup of U
+    of order q^len(w).  (n u')_{r,1} = n_{r,1}, and the psi_U(u') that J_1 and
+    conj J_2 pick up cancel, so the sum is that of q^len(w) psi(n_{r,1})
+    J_1(n^-1) conj J_2(n^-1) over the monomials n where J can be nonzero
+    (:meth:`GLGroup.bessel_support`).  Raises ValueError when that support
+    times |U| exceeds the element bound."""
     if sigma1.group is not sigma2.group:
         raise ValueError("cuspidals live on different groups")
     group = sigma1.group
     _psi_check(group, psi)
+    support = group.bessel_support()
     j1 = get_evaluator(sigma1, psi)
     j2 = get_evaluator(sigma2, psi)
-    r = group.r
-    reps = zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL))
-    terms = ((psi.root(h.rows[r - 1][0]), j1(h_inv), j2(h_inv)) for h, h_inv in reps)
+    q, r = group.q, group.r
+    terms = (
+        (psi.root(n.rows[r - 1][0]), j1(n_inv).scale(q**length), j2(n_inv))
+        for n, n_inv, length in support
+    )
     return dot(terms, conjugate=True)
 
 
@@ -355,10 +373,13 @@ def zeta_tilde_oracle(
 
     Dividing by the dual L-factor and multiplying by L(tau1 x dual(tau2), s)
     must produce an exact monomial in Y; the polynomial division is performed
-    exactly and any nonzero remainder raises OracleError."""
+    exactly and any nonzero remainder raises OracleError.  The shells cover
+    all of G, so a group over the element bound is refused (ValueError)
+    before any sum."""
     _check_compatible(tau1, tau2)
     group = tau1.group
     _psi_check(group, psi)
+    group.check_bound(FULL)
     r, q = group.r, group.q
     q_b = q**r
     j1 = get_evaluator(tau1.sigma, psi)
@@ -458,12 +479,18 @@ def epsilon_transfer(eps_tame: SMonomial, data: TransferData) -> SMonomial:
 
 
 def _integer_root(value: int, f: int) -> int:
+    """The integer b >= 2 with b**f == value, found exactly by Newton's method."""
     if f == 1:
         return value
-    base = round(value ** (1.0 / f))
-    for cand in (base - 1, base, base + 1):
-        if cand >= 2 and cand**f == value:
-            return cand
+    if f < value.bit_length():  # else 2**f > value
+        root = 1 << -(-value.bit_length() // f)  # above the real root
+        while True:  # decreases to the floor of the real root, then stops
+            step = ((f - 1) * root + value // root ** (f - 1)) // f
+            if step >= root:
+                break
+            root = step
+        if root**f == value:
+            return root
     raise ValueError(f"{value} is not an exact {f}-th power")
 
 

@@ -27,10 +27,13 @@ entries of every row (:func:`_leads`); the rest of each row is free, and
 row-pattern scan (:meth:`GLGroup._scan`).  ``coset_reps`` builds the first
 element of each coset U*g from the same rows: U adds multiples of lower rows
 to upper rows, so that element has ZERO wherever a lower row starts (has its
-first nonzero entry).  det(x*I - g) is linear in the last row of g, so it is
-two generated functions: ``prefix`` reads the first r - 1 rows once, and
-``last`` adds in each last row with at most r^2 lookups.  The constant term
-tells whether g is invertible, so no candidate matrix is built to be tested.
+first nonzero entry).  ``bessel_support`` lists the monomials t*w (w block
+anti-diagonal, t scalar on each block) off which Bessel functions vanish,
+with their inverses built directly.  det(x*I - g) is linear in the last row
+of g, so it is two generated functions: ``prefix`` reads the first r - 1 rows
+once, and ``last`` adds in each last row with at most r^2 lookups.  The
+constant term tells whether g is invertible, so no candidate matrix is built
+to be tested.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
@@ -324,6 +327,7 @@ class GLGroup:
         self._class_map: dict[ClassKey, list] | None = None
         self._coset_cache: dict[str, tuple[Mat, ...]] = {}
         self._coset_inv_cache: dict[str, tuple[Mat, ...]] = {}
+        self._support: tuple[tuple[Mat, Mat, int], ...] | None = None
         self._subgroup_cache: dict[str, tuple[Mat, ...]] = {}
         # (kind, psi) -> {g: character of Ind_U^kind(psi_U) at g}, filled by
         # cusp.induced_psi_character, which depends on no cuspidal
@@ -355,7 +359,7 @@ class GLGroup:
             return q**r - 1
         raise ValueError(f"unknown subgroup kind {kind!r}")
 
-    def _check_bound(self, kind: str):
+    def check_bound(self, kind: str):
         size = self.subgroup_order(kind)
         if size > ELEMENT_BOUND:
             raise ValueError(
@@ -367,7 +371,7 @@ class GLGroup:
 
     def iterate(self, kind: str):
         """Deterministic stream over a subgroup, each element exactly once."""
-        self._check_bound(kind)
+        self.check_bound(kind)
         if kind == SINGER:
             for e in range(self.q**self.r - 1):
                 yield self.singer_matrix(e)
@@ -499,7 +503,7 @@ class GLGroup:
             raise ValueError(f"no unipotent coset decomposition for {kind!r}")
         if kind in self._coset_cache:
             return self._coset_cache[kind]
-        self._check_bound(kind)
+        self.check_bound(kind)
         built = [((), ())]  # (the rows from some row down, the column where each starts)
         for lead in reversed(_leads(kind, self.r)):  # no lead sits where a lower row starts
             grown = []
@@ -521,6 +525,41 @@ class GLGroup:
         if kind not in self._coset_inv_cache:
             self._coset_inv_cache[kind] = tuple(c.inv() for c in self.coset_reps(kind))
         return self._coset_inv_cache[kind]
+
+    # -- support of the Bessel functions -----------------------------------
+
+    def bessel_support(self) -> tuple[tuple[Mat, Mat, int], ...]:
+        """(n, n^-1, len(w)) for each monomial n = t*w off which every Bessel function vanishes.
+
+        For each composition r_1 + ... + r_k of r, w puts identity blocks on
+        the block anti-diagonal (row block i in column block k + 1 - i) and t
+        is a scalar on each row block: (q - 1) q^(r-1) monomials, len(w) =
+        sum over i < j of r_i r_j.  n^-1 is the monomial of the reversed
+        composition with the inverse scalars, built directly.  A Bessel value
+        sums over U, so the support refuses (ValueError) when it times |U|
+        exceeds ELEMENT_BOUND, before anything is built."""
+        if self._support is None:
+            q, r = self.q, self.r
+            size = (q - 1) * q ** (r - 1) * self.subgroup_order(UNIPOTENT)
+            if size > ELEMENT_BOUND:
+                raise ValueError(
+                    f"the Bessel support of GL_{r}(F_{q}) times its unipotent subgroup has "
+                    f"{size} elements, over the bound {ELEMENT_BOUND}"
+                )
+            support = []
+            for cuts in itertools.product((False, True), repeat=r - 1):
+                ends = [i for i in range(1, r) if cuts[i - 1]] + [r]
+                blocks = list(zip([0, *ends], ends))  # rows lo..hi-1 sit in columns r-hi..r-lo-1
+                length = (r * r - sum((hi - lo) ** 2 for lo, hi in blocks)) // 2
+                for scalars in itertools.product(range(q - 1), repeat=len(blocks)):
+                    n, n_inv = [[ZERO] * r for _ in range(r)], [[ZERO] * r for _ in range(r)]
+                    for (lo, hi), e in zip(blocks, scalars):
+                        for i in range(lo, hi):
+                            n[i][r - lo - hi + i] = e
+                            n_inv[r - lo - hi + i][i] = -e % (q - 1)
+                    support.append((Mat(self.field, n), Mat(self.field, n_inv), length))
+            self._support = tuple(support)
+        return self._support
 
     # -- characteristic polynomial and class keys -------------------------
 
@@ -606,7 +645,7 @@ class GLGroup:
         first-appearance order and each representative is the first element
         with its key."""
         if self._class_map is None:
-            self._check_bound(FULL)
+            self.check_bound(FULL)
             table: dict[ClassKey, list] = {}
             for rows, cp in self._scan(FULL):
                 key = self._key_of(cp, rows)

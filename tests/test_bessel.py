@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from cuspeps.bessel import (
     mat_trace,
     operator_L,
 )
+from cuspeps.cyclo import dot
 from cuspeps.cusp import contragredient, list_cuspidals
 from cuspeps.ffield import ZERO, AdditiveChar
 from cuspeps.glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, Mat, gl_group
@@ -191,3 +194,39 @@ def test_contragredient_table_requires_closed_domain():
     partial = BesselTable(sigma, psi, FULL, {g: bessel_value(sigma, psi, g)})
     with pytest.raises(ValueError):
         contragredient_table(partial)
+
+
+def _monomials(group):
+    """Every monomial matrix t*w of the group, with the column of each row's entry."""
+    r = group.r
+    for perm in itertools.permutations(range(r)):
+        for scalars in itertools.product(range(group.q - 1), repeat=r):
+            rows = [[scalars[i] if c == perm[i] else ZERO for c in range(r)] for i in range(r)]
+            yield Mat(group.field, rows), perm
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5)])
+def test_bessel_support(q, r):
+    """Brute force over every monomial: J of every cuspidal vanishes off GLGroup.bessel_support."""
+    group, psi, cusps = _setup(q, r)
+    support = group.bessel_support()
+    assert len(support) == (q - 1) * q ** (r - 1)
+    inside = {n: (n_inv, length) for n, n_inv, length in support}
+    assert {n_inv for n_inv, _ in inside.values()} == set(inside)
+    unipotent = [(group.psi_u_root(u, psi), u.inv()) for u in group.elements(UNIPOTENT)]
+
+    def scaled_j(g):
+        """|U| J(g) for every cuspidal: sum over u of psi_U(u) chi(g u^-1), with the u
+        grouped by the class of g u^-1, so each product is classified once for all cuspidals."""
+        weights = collections.Counter((group.class_key(g * u_inv), root) for root, u_inv in unipotent)
+        for sigma in cusps:
+            yield dot((root, sigma.char_value(key).scale(count), None) for (key, root), count in weights.items())
+
+    assert all(value == len(unipotent) for value in scaled_j(group.identity()))
+    for n, perm in _monomials(group):
+        if n in inside:
+            n_inv, length = inside[n]
+            assert n * n_inv == group.identity()
+            assert length == sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
+        else:
+            assert all(value.is_zero() for value in scaled_j(n)), n

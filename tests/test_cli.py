@@ -120,11 +120,54 @@ def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    # 3 ** 5000.0 overflows a float in SMonomial.value_at.
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(UNIT_EPS, half_exp=10000))))
+    def broken(tame, data):
+        raise OverflowError("forced")
+
+    monkeypatch.setattr("cuspeps.epsilon.epsilon_transfer", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(UNIT_EPS)))
     code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1")
     assert code == 3 and out == ""
     assert err.startswith("error: internal error: OverflowError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "qbase, half_exp",
+    [
+        (10**400, 0),  # qbase itself converts to no float
+        (10**300, 4),  # qbase^2 overflows a float
+        (3, 10000),
+    ],
+)
+def test_transfer_float_overflow_is_usage_error(capsys, monkeypatch, qbase, half_exp):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(UNIT_EPS, qbase=qbase, half_exp=half_exp))))
+    code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the value at s = 1/2 of the monomial {") and err.endswith("overflows a float\n")
+    assert err.count("\n") == 1
+
+
+def test_transfer_exact_integer_root(capsys, monkeypatch):
+    """The root of qbase is exact, far beyond float range."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(UNIT_EPS, qbase=10**400))))
+    code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "2", "--e", "1", "--r", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["epsilon"]["qbase"] == 10**200
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(UNIT_EPS, qbase=10**400 + 1))))
+    code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "2", "--e", "1", "--r", "1")
+    assert code == 2 and out == "" and err.startswith("error: ") and "2-th power" in err
+
+
+@pytest.mark.parametrize(
+    "q, r, stderr",
+    [
+        (101, 2, "error: field size 10201 exceeds the configured bound 4096\n"),
+        (11, 3, "error: the Bessel support of GL_3(F_11) times its unipotent subgroup has 1610510 "
+                "elements, over the bound 1000000\n"),
+    ],
+)
+def test_epsilon_work_bound_exits_2(capsys, q, r, stderr):
+    code, out, err = run_cli(capsys, "epsilon", "--q", str(q), "--r", str(r), "--theta1", "1", "--theta2", "2")
+    assert (code, out, err) == (2, "", stderr)
 
 
 def test_root_order_limit(capsys):

@@ -6,7 +6,7 @@ import pytest
 from cuspeps import epsilon, verify
 from cuspeps.bessel import get_evaluator
 from cuspeps.cusp import list_cuspidals
-from cuspeps.cyclo import root_of_unity, zero
+from cuspeps.cyclo import dot, root_of_unity, zero
 from cuspeps.epsilon import (
     LevelZeroRep,
     OracleError,
@@ -107,6 +107,45 @@ def test_gauss_pair_sum_reuses_coset_inverses(monkeypatch):
     monkeypatch.setattr(Mat, "inv", counting_inv)
     assert gauss_pair_sum(s1, s2, psi) == reference
     assert calls == []
+
+
+def _coset_gauss_pair_sum(sigma1, sigma2, psi):
+    """The reference: psi(h_{r,1}) J_1(h^-1) conj J_2(h^-1) summed over every coset of U\\G."""
+    group = sigma1.group
+    j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
+    reps = zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL))
+    return dot(((psi.root(h.rows[group.r - 1][0]), j1(h_inv), j2(h_inv)) for h, h_inv in reps), conjugate=True)
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_support_sum_equals_coset_sum(q, r):
+    """Value and printed order agree with the U\\G sum on every ordered distinct pair."""
+    group, psi, cusps = _setup(q, r)
+    for s1 in cusps:
+        for s2 in cusps:
+            if s1 != s2:
+                assert gauss_pair_sum(s1, s2, psi).to_dict() == _coset_gauss_pair_sum(s1, s2, psi).to_dict()
+
+
+@pytest.mark.parametrize("q,r,theta1,theta2", [(5, 3, 1, 2), (3, 4, 1, 2), (2, 5, 1, 3)])
+def test_epsilon_beyond_the_element_bound(q, r, theta1, theta2):
+    """Groups over the element bound answer; the answer is exactly unitary."""
+    group, psi, cusps = _setup(q, r)
+    assert group.order() > 10**6
+    s1, s2 = (next(s for s in cusps if t in s.orbit) for t in (theta1, theta2))
+    eps = epsilon_pair(LevelZeroRep(s1), LevelZeroRep(s2), psi)
+    assert eps.coeff * eps.coeff.conjugate() == q**r
+    assert eps.qbase == q and eps.half_exp == -r and eps.s_coeff == 0
+    assert FULL not in group._coset_cache
+
+
+def test_gauss_pair_sum_work_bound():
+    group = GLGroup(build_field(11, 1), 3)  # 10 * 11^2 monomials, each summed over |U| = 11^3
+    cusps = list_cuspidals(group)
+    with pytest.raises(ValueError, match="1610510 elements"):
+        gauss_pair_sum(cusps[0], cusps[1], AdditiveChar(group.field, 0))
+    assert group._support is None
+    assert len(gl_group(32, 2).bessel_support()) == 31 * 32  # 31744 elements, under the bound
 
 
 def test_gauss_pair_sum_modulus():
@@ -304,6 +343,17 @@ def test_transfer_rebases_tame_side():
     assert out.qbase == 3
     assert out.half_exp == 2 * eps.half_exp - 2
     assert out.s_coeff == 2 * eps.s_coeff + 2
+
+
+@pytest.mark.parametrize("f", [2, 3, 5, 7, 64])
+def test_integer_root_is_exact(f):
+    for base in (2, 3, 10, 2**53 + 1, 10**50 + 7):
+        assert epsilon._integer_root(base**f, f) == base
+        for value in (base**f - 1, base**f + 1):
+            with pytest.raises(ValueError):
+                epsilon._integer_root(value, f)
+    with pytest.raises(ValueError):
+        epsilon._integer_root(3, 10**9)  # no base >= 2 is that small
 
 
 def test_transfer_data_validation():

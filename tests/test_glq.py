@@ -507,7 +507,7 @@ def test_coset_reps_enumerate_no_subgroup():
 
 
 def test_coset_reps_bound_exits_2(capsys):
-    assert cli.main(["epsilon", "--q", "5", "--r", "3", "--theta1", "1", "--theta2", "2"]) == 2
+    assert cli.main(["epsilon", "--q", "5", "--r", "3", "--theta1", "1", "--theta2", "2", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

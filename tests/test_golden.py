@@ -12,7 +12,10 @@ before the table-driven matrix product.  The two ``field`` tables, the CSV
 epsilon factors, the CSV Bessel table on U of GL_2(F_2) and both tables of
 GL_1(F_27) were recorded before the CLI streamed its output.  The vanishing,
 realization, Bessel and epsilon reports run every character sum of
-``bessel`` and ``epsilon``.
+``bessel`` and ``epsilon``.  The epsilon factors on GL_3(F_5), GL_4(F_3) and
+GL_5(F_2) lie beyond the element bound of the U\\G coset sum; they were
+recorded with the first code that answers them, the sum over the support of
+J (each is exactly unitary, see ``tests/test_epsilon.py``).
 Any change to an exact value, to the order of a cyclotomic value, to the
 JSON/CSV layout, to the order or count of conjugacy classes or to a float
 printed from an embedding shows up here.
@@ -62,6 +65,9 @@ CASES = {
     "bessel-gl2-f2-u-csv": ("bessel", "--q", "2", "--r", "2", "--theta", "1", "--domain", "u", "--format", "csv"),
     "cuspidals-gl1-f27-json": ("cuspidals", "--q", "27", "--r", "1"),
     "cuspidals-gl1-f27-csv": ("cuspidals", "--q", "27", "--r", "1", "--format", "csv"),
+    "epsilon-gl3-f5": ("epsilon", "--q", "5", "--r", "3", "--theta1", "1", "--theta2", "2"),
+    "epsilon-gl4-f3": ("epsilon", "--q", "3", "--r", "4", "--theta1", "1", "--theta2", "2"),
+    "epsilon-gl5-f2": ("epsilon", "--q", "2", "--r", "5", "--theta1", "1", "--theta2", "3"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
     "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
@@ -96,6 +102,9 @@ DIGESTS = {
     "epsilon-gl2-f4-t1-csv": "e5bf6f659770f675f4dbceb222809ffa5b598cd70931115a40210cbf4fc3b9e8",
     "epsilon-gl2-f5": "a4ae58b304059b6e31186bc6c2dfffaaad8b6c21802d5ace23820e4b7cfadc3c",
     "epsilon-gl3-f2": "0f6ab86dbf947bffd395ea8f315de768202ecfe91b798cc8dd9d3196dcd59d1c",
+    "epsilon-gl3-f5": "ced14fe92702e15018c080dfc565c290224e13753050bf82cc790e332509b137",
+    "epsilon-gl4-f3": "6eeeb310be0f9be356d295c2506f2d1335fca342e2cdb16d65fd1358c4cd6a7c",
+    "epsilon-gl5-f2": "345ee469eb1ba7b3d2bb1ee09655d2054fe36d5e873e5614d870f85925f958d8",
     "field-gf8-json": "acfa7d3127ae869cfd9afe79f8bcfeef70cc629e57b65c596e054581fbfc82f0",
     "field-gf9-csv": "509be72587df0f16d3ae7c09113c5bc8956212f1a56c6cfd138853bdbd1f691f",
     "readme-pipe": "136faba33ea6f904e453b0147daae17e4b989329cb84af6a59b2619e67811425",
