@@ -126,7 +126,7 @@ def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
     ev = get_evaluator(sigma, psi)
     inverses = group.coset_rep_inverses(kind)
     return tuple(
-        tuple(ev(ci * g * cj_inv) for cj_inv in inverses) for ci in group.coset_reps(kind)
+        tuple(ev(cig * cj_inv) for cj_inv in inverses) for cig in (ci * g for ci in group.coset_reps(kind))
     )
 
 

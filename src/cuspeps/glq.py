@@ -24,23 +24,23 @@ from the nullities of (g - x)^j over GF(q^d), x = g^eig, when r/d >= 2.
 Each of the four matrix subgroups is described once, by the fixed leading
 entries of every row (:func:`_leads`); the rest of each row is free, and
 ``contains`` checks those leads.  ``iterate`` and ``class_map`` share one
-row-pattern scan (:meth:`GLGroup._scan`).  ``coset_reps`` builds the first
-element of each coset U*g from the same rows: U adds multiples of lower rows
-to upper rows, so that element has ZERO wherever a lower row starts (has its
-first nonzero entry).  ``bessel_support`` lists the monomials t*w (w block
-anti-diagonal, t scalar on each block) off which Bessel functions vanish,
-with their inverses built directly.  det(x*I - g) is linear in the last row
-of g, so it is two generated functions: ``prefix`` reads the first r - 1 rows
-once, and ``last`` adds in each last row with at most r^2 lookups.  The
-constant term tells whether g is invertible, so no candidate matrix is built
-to be tested.
+row-pattern scan (:meth:`GLGroup._scan`) over the invertible matrices only.
+det(x*I - g) is linear in the last row of g, so it is two generated
+functions: ``prefix`` reads the first r - 1 rows once and also returns the r
+cofactors of the last row (all ZERO: no last row makes g invertible, and the
+scan skips those rows), and ``last`` adds in each last row, the constant term
+first, so a singular g costs about r lookups.  ``class_map`` makes each
+charpoly a key once; only primary classes with d < r need a Jordan type per
+element.  ``coset_reps`` builds the first element of each coset U*g from the
+same rows: U adds multiples of lower rows to upper rows, so that element has
+ZERO wherever a lower row starts (has its first nonzero entry).
+``bessel_support`` lists the monomials t*w (w block anti-diagonal, t scalar
+on each block) off which Bessel functions vanish, inverses built directly.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
-(:meth:`FieldSpec.tables`): ``mul[a][b]`` and ``add[a][b]`` are indexed by
-the logs a and b, slot e < q - 1 standing for g^e and the last slot for 0,
-so ZERO = -1 reaches it by negative indexing.  The product of two r x r
-matrices is one straight-line function per r, generated on first use, in
-which each entry is a chain of r table lookups; so are ``prefix`` and ``last``.
+(:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
+ZERO = -1 by negative indexing): one straight-line function per r, generated
+on first use, each entry a chain of r lookups; so are ``prefix`` and ``last``.
 """
 
 from __future__ import annotations
@@ -163,13 +163,15 @@ _CHARPOLYS: dict[int, tuple[Callable, Callable]] = {}
 
 
 def _build_charpoly(r: int) -> tuple[Callable, Callable]:
-    """``prefix(tables, rows)`` and ``last(tables, pre, v)``: det(x*I - g) as straight-line code.
+    """``prefix(tables, rows)`` and ``last(tables, pre, v, whole)``: det(x*I - g) as straight-line code.
 
     prefix reads the first r - 1 rows of g, last adds in the last row v.  Both
     follow Berkowitz's division-free recurrence: bordering a k x k block M with
     charpoly p_0 = 1, ..., p_k (top down) by a row R, a column C and a corner a
     gives c_n = p_n - a p_(n-1) - sum_m p_m R M^(n-2-m) C, which is linear in
-    the last row; prefix returns the coefficient of each v_j in each c_n.
+    the last row; prefix returns the coefficient of each v_j in c_r (the r
+    cofactors), then in each other c_n.  last sums c_r first; unless whole,
+    a ZERO c_r (g singular) returns None.
     O(r^4) lines, each one chain of lookups bound to a local."""
     zero, one, minus_one = repr(ZERO), "0", "m1"  # folded constants; tables = (add, mul, m1)
     lines: list[str] = []
@@ -192,6 +194,9 @@ def _build_charpoly(r: int) -> tuple[Callable, Callable]:
     def plus(terms):
         return functools.reduce(lambda acc, t: f"add[{acc}][{t}]", [t for t in terms if t != zero] or [zero])
 
+    def tup(xs):
+        return "(" + "".join(map("{}, ".format, xs)) + ")"
+
     a = [[f"a{i}_{j}" for j in range(r)] for i in range(r - 1)]
     p = [one]
     for k in range(r):
@@ -204,19 +209,18 @@ def _build_charpoly(r: int) -> tuple[Callable, Callable]:
         s = [bind(plus(times(a[k][j], w[j]) for j in range(k))) for w in powers]
         p = [bind(plus([p[n] if n <= k else zero, times(a[k][k], negp[n - 1]) if n else zero]
                        + [times(negp[m], s[n - 2 - m]) for m in range(n - 1)])) for n in range(k + 2)]
-    # the last border, with v_(r-1) as the corner: c_n = base_n + sum_j v_j coef[j][n]
+    # the last border, with v_(r-1) as the corner: c_n = p_n + sum_j v_j coef[j][n], p_r = 0
     coef = [[zero] * 2 + [bind(plus(times(negp[m], powers[n - 2 - m][j]) for m in range(n - 1)))
-                          for n in range(2, r + 1)] for j in range(r - 1)]
-    coef.append([zero] + negp)
-    base = p + [zero]
-    shared = "(" + "".join(f"{x}, " for x in dict.fromkeys(base + sum(coef, [])) if x not in negs) + ")"
-    cp = [plus([base[n]] + [times(f"v{j}", coef[j][n]) for j in range(r)]) for n in range(r, -1, -1)]
+                          for n in range(2, r + 1)] for j in range(r - 1)] + [[zero] + negp]
+    shared = tup(x for x in dict.fromkeys(p + sum(coef, [])) if x not in negs)
+    ks, vs = ([f"{c}{j}" for j in range(r)] for c in "kv")  # c_r's cofactors, the last row
+    cp = [plus([p[n]] + [times(vs[j], coef[j][n]) for j in range(r)]) for n in range(r - 1, -1, -1)]
     source = (
-        "def prefix(tables, rows):\n    add, mul, m1 = tables\n    neg = mul[m1]\n"
-        f"    ({''.join('(' + ''.join(f'{x}, ' for x in row) + '), ' for row in a)}) = rows\n"
-        + "".join(f"    {line}\n" for line in lines) + f"    return {shared}\n"
-        f"def last(tables, pre, v):\n    add, mul, m1 = tables\n    neg = mul[m1]\n    {shared} = pre\n"
-        f"    ({''.join(f'v{j}, ' for j in range(r))}) = v\n    return ({''.join(f'{x}, ' for x in cp)})\n"
+        f"def prefix(tables, rows):\n    add, mul, m1 = tables\n    neg = mul[m1]\n    {tup(map(tup, a))} = rows\n"
+        + "".join(f"    {line}\n" for line in lines) + f"    return {tup(list(zip(*coef))[r])}, {shared}\n"
+        f"def last(tables, pre, v, whole=False):\n    add, mul, m1 = tables\n    {tup(ks)}, rest = pre\n    {tup(vs)} = v\n"
+        f"    c = {plus(map(times, vs, ks))}\n    if c == {zero} and not whole:\n        return None\n"
+        f"    neg = mul[m1]\n    {shared} = rest\n    return {tup(['c'] + cp)}\n"
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -228,7 +232,7 @@ def _charpoly(F: FieldSpec, rows) -> tuple:
     """det(x*I - g) for the matrix g with these rows, low degree first."""
     prefix, last = _CHARPOLYS.get(len(rows)) or _build_charpoly(len(rows))
     tables = (*F.tables(), F.neg(0))
-    return last(tables, prefix(tables, rows[:-1]), rows[-1])
+    return last(tables, prefix(tables, rows[:-1]), rows[-1], True)
 
 
 @functools.cache
@@ -303,6 +307,9 @@ def conjugate_partition(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, max(parts) + 1))
 
 
+_partition = functools.cache(conjugate_partition)  # Jordan types, once per nullity sequence
+
+
 class GLGroup:
     """GL_r over GF(q) with cached structural data.
 
@@ -348,12 +355,7 @@ class GLGroup:
             return self.order()
         if kind == UNIPOTENT:
             return q ** (r * (r - 1) // 2)
-        if kind == MIRABOLIC:
-            out = q ** (r - 1)
-            for i in range(r - 1):
-                out *= q ** (r - 1) - q**i
-            return out
-        if kind == STABILIZER:
+        if kind in (MIRABOLIC, STABILIZER):  # q^(r-1) |GL_(r-1)| each
             return self.order() // (q**r - 1)
         if kind == SINGER:
             return q**r - 1
@@ -384,8 +386,8 @@ class GLGroup:
         """(rows, charpoly) of each invertible matrix of a subgroup, in enumeration order.
 
         Row i runs over its leads followed by every tuple of free entries;
-        ``prefix`` runs once per choice of the first r - 1 rows, ``last`` once
-        per last row, and a zero constant term marks a singular matrix."""
+        ``prefix`` runs once per choice of the first r - 1 rows (skipped if its
+        cofactors are all ZERO), ``last`` once per last row."""
         F, r = self.field, self.r
         prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
         tables = (*F.tables(), F.neg(0))
@@ -393,10 +395,11 @@ class GLGroup:
         lasts = choices.pop()
         for top in itertools.product(*choices):
             pre = prefix(tables, top)
-            for v in lasts:
-                cp = last(tables, pre, v)
-                if cp[0] != ZERO:
-                    yield top + (v,), cp
+            if pre[0].count(ZERO) < r:
+                for v in lasts:
+                    cp = last(tables, pre, v)
+                    if cp is not None:
+                        yield top + (v,), cp
 
     def _rows(self, lead: tuple[int, ...], zeros: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
         """Each row with this lead and ZERO in the columns ``zeros``, the rest free, in enumeration order."""
@@ -569,13 +572,12 @@ class GLGroup:
 
     def class_key(self, g: Mat) -> ClassKey:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
-        if g in self._key_cache:
-            return self._key_cache[g]
-        cp = self.charpoly(g)
-        if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
-            raise ValueError("matrix is singular")
-        key = self._key_of(cp, g.rows)
-        self._key_cache[g] = key
+        key = self._key_cache.get(g)
+        if key is None:
+            cp = self.charpoly(g)
+            if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
+                raise ValueError("matrix is singular")
+            key = self._key_cache[g] = self._key_of(cp, g.rows)
         return key
 
     def _primary_classes(self) -> dict[tuple, tuple[int, int]]:
@@ -604,36 +606,31 @@ class GLGroup:
         hit = self._primary_classes().get(cp)
         if hit is None:
             return NON_PRIMARY
-        d, eig = hit
-        return ClassKey(d, eig, (1,) if d == self.r else self._jordan_blocks(rows, d, eig))
+        return ClassKey(*hit, (1,) if hit[0] == self.r else self._jordan_blocks(rows, *hit))
 
     def _jordan_blocks(self, rows, d: int, eig: int) -> tuple[int, ...]:
         """Jordan partition of r/d from the nullity sequence of (g - x)^j over GF(q^d).
 
         x = g^eig is one of the d roots of the primary polynomial f, so the
-        nullity of (g - x)^j is that of f(g)^j over GF(q) divided by d.  Entry
-        j of the sequence counts the blocks of size at least j.  Once a step
-        adds at most one block, that block takes the rest of r/d."""
+        nullity of (g - x)^j is that of f(g)^j over GF(q) divided by d.  Step
+        j counts the blocks of size at least j.  Once at most one block is
+        undecided (a step of at most one block, or at most one unit of r/d
+        left), it takes the rest; each nullity sequence is looked up once."""
         F, ext, r, n = self.field, self.ext_field(d), self.r, self.r // d
-        embed = self._ext_embed.get(d)
+        embed = self._ext_embed.get(d) if d > 1 else ()
         if embed is None:  # by log, ZERO in the last slot, as in FieldSpec.tables
-            embed = tuple(subfield_embed(v, F, ext) for v in (*range(F.q - 1), ZERO))
-            self._ext_embed[d] = embed
-        add, minus_x = ext.tables()[0], ext.neg(eig)
-        entries = [[embed[v] for v in row] for row in rows]
+            embed = self._ext_embed[d] = tuple(subfield_embed(v, F, ext) for v in (*range(F.q - 1), ZERO))
+        gx = power = [[embed[v] for v in row] if embed else list(row) for row in rows]
+        tables, minus_x = ext.tables(), ext.neg(eig)
         for i in range(r):
-            entries[i][i] = add[entries[i][i]][minus_x]
-        gx = power = Mat(ext, entries)
-        diffs: list[int] = []
-        seen = 0
+            gx[i][i] = tables[0][gx[i][i]][minus_x]
+        steps, seen = (), 0
         while True:
-            step = r - _rank(ext, [list(row) for row in power.rows]) - seen
-            diffs.append(step)
-            seen += step
-            if step <= 1 or seen == n:
-                diffs.extend([1] * (n - seen))
-                return conjugate_partition(diffs)
-            power = power * gx
+            step = r - _rank(ext, list(power)) - seen
+            steps, seen = steps + (step,), seen + step
+            if step <= 1 or n - seen <= 1:
+                return _partition(steps + (1,) * (n - seen))
+            power = (_PRODUCTS.get(r) or _build_product(r))(*tables, power, gx)
 
     # -- class map ---------------------------------------------------------
 
@@ -641,19 +638,22 @@ class GLGroup:
         """key -> [element count, representative], over the full group.
 
         One pass of the scan behind ``iterate(FULL)``, which hands over each
-        element's charpoly with its rows.  Counts are exact, keys appear in
-        first-appearance order and each representative is the first element
-        with its key."""
+        element's charpoly with its rows.  It counts and keeps the first rows
+        per charpoly, and makes each charpoly a key once, at the end; only an
+        element that is primary with d < r is classified on its own (its
+        Jordan type varies).  Counts are exact, keys appear in first-appearance
+        order and each representative is the first element with its key."""
         if self._class_map is None:
             self.check_bound(FULL)
-            table: dict[ClassKey, list] = {}
+            primary, firsts, table = self._primary_classes(), {}, {}  # firsts: charpoly or key -> [count, rows]
             for rows, cp in self._scan(FULL):
-                key = self._key_of(cp, rows)
-                slot = table.get(key)
-                if slot is None:
-                    table[key] = [1, Mat(self.field, rows)]
-                else:
-                    slot[0] += 1
+                hit = primary.get(cp)
+                if hit and hit[0] < self.r:
+                    cp = ClassKey(*hit, self._jordan_blocks(rows, *hit))
+                firsts.setdefault(cp, [0, rows])[0] += 1
+            for cp, (count, rows) in firsts.items():
+                key = cp if isinstance(cp, ClassKey) else self._key_of(cp, rows)
+                table.setdefault(key, [0, Mat(self.field, rows)])[0] += count
             assert sum(c for c, _ in table.values()) == self.order()
             self._class_map = table
         return self._class_map

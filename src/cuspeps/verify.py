@@ -326,7 +326,7 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
     psi = _std_psi(group)
     cusps = list_cuspidals(group)
-    unip = group.elements(UNIPOTENT)
+    unip = [(u, group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)]
     idm = group.identity()
     for sigma in cusps:
         ev = get_evaluator(sigma, psi)
@@ -336,14 +336,16 @@ def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
         for z in range(group.q - 1):
             zmat = Mat(group.field, [[z if i == j else ZERO for j in range(group.r)] for i in range(group.r)])
             for g in rng.sample(samples, min(150, len(samples))):
-                if ev(zmat * g) != sigma.central_value(z) * ev(g) or ev(g * zmat) != sigma.central_value(z) * ev(g):
+                want = sigma.central_value(z) * ev(g)
+                if ev(zmat * g) != want or ev(g * zmat) != want:
                     scal_ok = False
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
         for g in rng.sample(samples, min(150, len(samples))):
-            for u in unip:
-                pu = group.psi_u(u, psi)
-                if ev(u * g) != pu * ev(g) or ev(g * u) != pu * ev(g):
+            jg = ev(g)
+            for u, pu in unip:
+                want = pu * jg
+                if ev(u * g) != want or ev(g * u) != want:
                     equi_ok = False
                     break
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))

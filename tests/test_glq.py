@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -313,6 +314,16 @@ def test_classification_matches_oracle_sampled_gl4_f2():
         assert _oracle_key(group, rep) == key
 
 
+def _partitions(n, largest=None):
+    """Every partition of n as a descending tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
 def _jordan_block_matrix(blocks, lam):
     """Upper-triangular Jordan form with eigenvalue lam (an integer) and these block sizes."""
     r = sum(blocks)
@@ -338,7 +349,11 @@ def _jordan_block_matrix(blocks, lam):
         (3, (3,), 2, 1),
         (3, (2, 1), 2, 1),
         (3, (1, 1, 1), 2, 1),
-    ],
+    ]
+    # every partition of 5 and 6 over F_2 and of 4 over F_3: nullity sequences
+    # where the early stop decides, such as (3, 2) against (3, 1, 1)
+    + [(2, blocks, 1, 0) for blocks in (*_partitions(5), *_partitions(6))]
+    + [(3, blocks, lam, lam - 1) for blocks in _partitions(4) for lam in (1, 2)],
 )
 def test_jordan_types_of_explicit_matrices(q, blocks, lam, eig):
     group = gl_group(q, sum(blocks))
@@ -391,6 +406,32 @@ def test_jordan_types_over_quadratic_eigenvalues(rows, blocks):
     assert key.d == rows.r // sum(blocks) > 1 and key.blocks == blocks
     assert group.charpoly(rows) == cp
     assert group.class_key(rows) == key
+
+
+def _centralizer_order(Q, blocks):
+    """|C| for a unipotent of Jordan type blocks in GL_m(F_Q):
+    Q^(sum of squared conjugate parts) * prod over part sizes i of prod_{j <= m_i} (1 - Q^-j)."""
+    out = Fraction(Q) ** sum(c * c for c in conjugate_partition(blocks))
+    for size in set(blocks):
+        for j in range(1, blocks.count(size) + 1):
+            out *= 1 - Fraction(1, Q**j)
+    assert out.denominator == 1
+    return int(out)
+
+
+@pytest.mark.parametrize(
+    "q,r", [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 3), (3, 3), (4, 3), (2, 4)]
+)
+def test_class_map_counts_are_class_sizes(q, r):
+    """Each primary count is |G| / |C|, C the centralizer; NON_PRIMARY gets the remainder."""
+    group = gl_group(q, r)
+    expected = {}
+    for d, eig in group._primary_classes().values():
+        for blocks in _partitions(r // d):
+            expected[ClassKey(d, eig, blocks)] = group.order() // _centralizer_order(q**d, blocks)
+    expected[NON_PRIMARY] = group.order() - sum(expected.values())
+    counts = {key: count for key, (count, _) in group.class_map().items()}
+    assert counts == {key: count for key, count in expected.items() if count}
 
 
 @pytest.mark.parametrize(
