@@ -240,7 +240,8 @@ class CycloNumber:
 
     def scale(self, c) -> "CycloNumber":
         c = Fraction(c)
-        return _make(self.m, *_lowest([x * c.numerator for x in self.num], self.den * c.denominator))
+        n = c.numerator
+        return _make(self.m, *_lowest([x * n for x in self.num], self.den * c.denominator))
 
     def conjugate(self) -> "CycloNumber":
         """Image under zeta -> zeta^{-1} (complex conjugation on the embedding)."""

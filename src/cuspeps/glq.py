@@ -29,11 +29,13 @@ det(x*I - g) is linear in the last row of g, so it is two generated
 functions: ``prefix`` reads the first r - 1 rows once and also returns the r
 cofactors of the last row (all ZERO: no last row makes g invertible, and the
 scan skips those rows), and ``last`` adds in each last row, the constant term
-first, so a singular g costs about r lookups.  ``class_map`` makes each
-charpoly a key once; only primary classes with d < r need a Jordan type per
-element.  ``coset_reps`` builds the first element of each coset U*g from the
-same rows: U adds multiples of lower rows to upper rows, so that element has
-ZERO wherever a lower row starts (has its first nonzero entry).
+first, so a singular g costs about r lookups.  ``class_map`` takes each
+class size from the centralizer formula and scans only until every
+non-central class has appeared; the singleton classes {z*I} come last in the
+scan and are placed, not searched.  ``coset_reps`` builds the first element
+of each coset U*g from the same rows: U adds multiples of lower rows to upper
+rows, so that element has ZERO wherever a lower row starts (has its first
+nonzero entry).
 ``bessel_support`` lists the monomials t*w (w block anti-diagonal, t scalar
 on each block) off which Bessel functions vanish, inverses built directly.
 
@@ -282,8 +284,8 @@ def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
 class ClassKey(namedtuple("ClassKey", ("d", "eig", "blocks"))):
     """Conjugacy key for primary classes; (None, None, None) is "non-primary".
 
-    A named tuple, so that the hashing and comparing done for every element
-    in :meth:`GLGroup.class_map` and in the character caches run in C."""
+    A named tuple, so that the hashing and comparing done for each scanned
+    element in :meth:`GLGroup.class_map` and in the character caches run in C."""
 
     __slots__ = ()
 
@@ -308,6 +310,25 @@ def conjugate_partition(parts) -> tuple[int, ...]:
 
 
 _partition = functools.cache(conjugate_partition)  # Jordan types, once per nullity sequence
+
+
+def _partitions(n: int, largest: int = 0):
+    """Every partition of n, as a descending tuple."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _centralizer_order(Q: int, blocks) -> int:
+    """|C| of a unipotent of Jordan type blocks in GL_n(F_Q), in integers: Q^(sum of
+    squared conjugate parts) times, per part size i, prod over j <= m_i of (1 - Q^-j)."""
+    out = Q ** sum(c * c for c in conjugate_partition(blocks))
+    for size in set(blocks):
+        for j in range(1, blocks.count(size) + 1):
+            out = out // Q**j * (Q**j - 1)
+    return out
 
 
 class GLGroup:
@@ -637,24 +658,35 @@ class GLGroup:
     def class_map(self) -> dict[ClassKey, list]:
         """key -> [element count, representative], over the full group.
 
-        One pass of the scan behind ``iterate(FULL)``, which hands over each
-        element's charpoly with its rows.  It counts and keeps the first rows
-        per charpoly, and makes each charpoly a key once, at the end; only an
-        element that is primary with d < r is classified on its own (its
-        Jordan type varies).  Counts are exact, keys appear in first-appearance
-        order and each representative is the first element with its key."""
+        Keys in first-appearance order in ``iterate(FULL)``, each with its first
+        element.  Counts are |G| / |C|, C of order c_blocks(q^d) (see
+        :func:`_centralizer_order`); NON_PRIMARY, if not empty, holds the rest.
+        The scan stops once every non-central key has appeared: a singleton
+        {z*I} not met by then lies later, the z*I in ascending z (ZERO sorts
+        first), so each is appended as [1, z*I].  A scan that ends with a
+        non-central key missing is an internal error."""
         if self._class_map is None:
             self.check_bound(FULL)
-            primary, firsts, table = self._primary_classes(), {}, {}  # firsts: charpoly or key -> [count, rows]
-            for rows, cp in self._scan(FULL):
-                hit = primary.get(cp)
-                if hit and hit[0] < self.r:
-                    cp = ClassKey(*hit, self._jordan_blocks(rows, *hit))
-                firsts.setdefault(cp, [0, rows])[0] += 1
-            for cp, (count, rows) in firsts.items():
-                key = cp if isinstance(cp, ClassKey) else self._key_of(cp, rows)
-                table.setdefault(key, [0, Mat(self.field, rows)])[0] += count
-            assert sum(c for c, _ in table.values()) == self.order()
+            q, r, order = self.q, self.r, self.order()
+            sizes = {ClassKey(d, eig, blocks): order // _centralizer_order(q**d, blocks)
+                     for d, eig in self._primary_classes().values() for blocks in _partitions(r // d)}
+            rest = order - sum(sizes.values())
+            if rest:
+                sizes[NON_PRIMARY] = rest
+            central = [ClassKey(1, z, (1,) * r) for z in range(q - 1)]
+            missing, table = set(sizes).difference(central), {}
+            for rows, cp in self._scan(FULL) if missing else ():
+                key = self._key_of(cp, rows)
+                if key not in table:
+                    table[key] = [sizes[key], Mat(self.field, rows)]
+                    missing.discard(key)
+                    if not missing:
+                        break
+            if missing:
+                raise RuntimeError(f"class_map of GL_{r}(F_{q}): no element found for {sorted(map(str, missing))}")
+            for z, key in enumerate(central):
+                if key not in table:
+                    table[key] = [1, Mat(self.field, [[z if i == j else ZERO for j in range(r)] for i in range(r)])]
             self._class_map = table
         return self._class_map
 

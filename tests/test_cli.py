@@ -275,6 +275,23 @@ def test_streamed_json_is_one_dumps_of_the_list(items):
     assert buf.getvalue() == json.dumps(items, sort_keys=True, indent=1) + "\n"
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([-3, 0, 1, 2, 3, 4, 6, 7, 9, 16, 27, 1024]),
+    st.integers(-1, 5),
+    st.sampled_from(["json", "csv"]),
+    st.integers(-2, 3),
+)
+def test_cuspidals_exit_contract(q, r, fmt, a):
+    """Any small argv answers (exit 0) or is refused (exit 2, no stdout); never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["cuspidals", "--q", str(q), "--r", str(r), "--format", fmt, "--a", str(a)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+    assert (out.getvalue() == "") == (code == 2)
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "cuspidals", "--q", "2", "--r", "2", "--out", str(path))

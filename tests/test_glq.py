@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspeps import cli
+from cuspeps import cli, glq
 from cuspeps.cyclo import root_of_unity
 from cuspeps.ffield import ZERO, AdditiveChar, build_field, subfield_embed
 from cuspeps.glq import (
@@ -281,7 +281,11 @@ def _oracle_key(group, g):
     return _oracle_classify(group, g)[1]
 
 
-@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "q,r",
+    [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2), (2, 3), (3, 3)],
+)
 def test_classification_matches_oracle(q, r):
     group = gl_group(q, r)
     table = {}
@@ -312,6 +316,45 @@ def test_classification_matches_oracle_sampled_gl4_f2():
     assert sum(count for count, _ in cmap.values()) == group.order()
     for key, (_, rep) in cmap.items():
         assert _oracle_key(group, rep) == key
+
+
+@pytest.mark.parametrize("q,r", [(2, 4), (4, 3)])
+def test_class_map_matches_enumeration(q, r):
+    """Beyond the oracle's reach: every key counted over the whole scan of G."""
+    group = gl_group(q, r)
+    table = {}
+    for rows, cp in group._scan(FULL):
+        table.setdefault(group._key_of(cp, rows), [0, rows])[0] += 1
+    expected = [(key, [count, Mat(group.field, rows)]) for key, (count, rows) in table.items()]
+    assert list(group.class_map().items()) == expected
+
+
+@pytest.mark.parametrize("q,r", [(3, 3), (2, 4), (4, 3)])
+def test_class_map_stops_scanning_early(monkeypatch, q, r):
+    """The scan ends once every non-central class has appeared, well before |G|."""
+    scan, scanned = GLGroup._scan, []
+
+    def counting_scan(self, kind):
+        for item in scan(self, kind):
+            scanned.append(None)
+            yield item
+
+    monkeypatch.setattr(GLGroup, "_scan", counting_scan)
+    group = GLGroup(gl_group(q, r).field, r)  # a fresh instance: no cached class map
+    group.class_map()
+    assert 0 < len(scanned) < group.order() / 20
+
+
+def test_class_map_missing_class_is_an_internal_error(monkeypatch, capsys):
+    """A scan that never meets a non-central class yields no table; the CLI exits 3."""
+    monkeypatch.setattr(GLGroup, "_scan", lambda self, kind: iter(()))
+    group = GLGroup(gl_group(3, 2).field, 2)
+    with pytest.raises(RuntimeError, match="no element found"):
+        group.class_map()
+    monkeypatch.setattr(glq, "_GROUPS", {})
+    assert cli.main(["cuspidals", "--q", "3", "--r", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: internal error: RuntimeError" in captured.err
 
 
 def _partitions(n, largest=None):
