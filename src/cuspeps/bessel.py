@@ -16,10 +16,18 @@ realizes sigma on the |M|/|U|-dimensional space of psi_U-equivariant
 functions on M: L is multiplicative, has trace chi_sigma, and its
 (identity, identity) entry recovers J itself.
 
-Values are cached per group element; the character is cached per class, so a
-full table over GL_r costs about |G| * |U| class lookups.  psi_U(u) is kept as
-an exponent (order, k), and each J(g), Hankel sum and entry of an operator
-product is one call of :func:`cuspeps.cyclo.dot`, reduced modulo Phi_m once.
+Since J(u1 n u2) = psi_U(u1 u2) J(n), J is fixed by its values on the
+monomials n.  A new J(g) row-reduces g = u1 n u2 (:meth:`GLGroup.bruhat_cell`,
+O(r^3) field operations that also add up s, the sum of the superdiagonals of
+u1 and u2) and returns psi(s) J(n).  J(n) is the sum over U above, taken once
+per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
+equivariance checks), and psi(s) J(n) is cached per (n, psi(s)).  A zero J(n)
+or s = 0 returns J(n) itself, which is also the value and the printed order
+of the sum over U at g.  So a full table over GL_r costs |G| row reductions
+plus r! (q-1)^r * |U| class lookups.  Values are cached per group element,
+the character per class.  psi_U(u) is kept as an exponent (order, k), and
+each sum over U, Hankel sum and entry of an operator product is one call of
+:func:`cuspeps.cyclo.dot`, reduced modulo Phi_m once.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
-from .cyclo import UNIT, CycloNumber, dot, zero
+from .cyclo import UNIT, CycloNumber, dot, root_of_unity, zero
 from .cusp import CuspidalRep, contragredient
 from .ffield import AdditiveChar
 from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, Mat
@@ -47,9 +55,9 @@ __all__ = [
 
 
 class BesselEvaluator:
-    """Memoized Bessel function of (sigma, psi)."""
+    """Memoized Bessel function of (sigma, psi), evaluated by Bruhat cell."""
 
-    __slots__ = ("sigma", "psi", "_terms", "_norm", "_cache")
+    __slots__ = ("sigma", "psi", "_terms", "_norm", "_cache", "_cells")
 
     def __init__(self, sigma: CuspidalRep, psi: AdditiveChar):
         if psi.field is not sigma.group.field:
@@ -64,13 +72,29 @@ class BesselEvaluator:
         )
         self._norm = Fraction(1, len(self._terms))
         self._cache: dict[Mat, CycloNumber] = {}
+        # (monomial n, psi(s) as (order, exponent)) -> psi(s) J(n)
+        self._cells: dict[tuple[Mat, tuple[int, int]], CycloNumber] = {}
+
+    def direct(self, g: Mat) -> CycloNumber:
+        """J(g) by the defining sum over U, uncached: the formula for monomials
+        and the reference the equivariance checks compare against."""
+        char_at = self.sigma.char_at
+        return dot((w, char_at(g * u_inv), None) for w, u_inv in self._terms).scale(self._norm)
 
     def __call__(self, g: Mat) -> CycloNumber:
         cached = self._cache.get(g)
         if cached is not None:
             return cached
-        char_at = self.sigma.char_at
-        value = dot((w, char_at(g * u_inv), None) for w, u_inv in self._terms).scale(self._norm)
+        n, s = self.sigma.group.bruhat_cell(g)
+        root = self.psi.root(s)
+        value = self._cells.get((n, root))
+        if value is None:
+            jn = self._cells.get((n, UNIT))
+            if jn is None:
+                jn = self._cells[n, UNIT] = self.direct(n)
+            # A zero J(n), or s = 0, keeps the order that the direct sum prints.
+            value = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)
+            self._cells[n, root] = value
         self._cache[g] = value
         return value
 

@@ -9,12 +9,16 @@ least common multiple.  This makes "this character sum vanishes" an exact,
 decidable statement, which the rest of the library relies on.
 
 Products, promotions and conjugates are formed as integer counts on the
-exponents 0..m-1 of zeta (zeta^m = 1) and then reduced by long division with
-the monic Phi_m, touching only its nonzero coefficients.  Nothing per order
-is kept beyond Phi_m itself, so memory stays O(m) even for the large orders a
-user-chosen root of unity can bring in.  :class:`fractions.Fraction` appears
-only where rationals enter or leave: constructors, ``scale``,
-``rational_value``, ``to_dict``/``from_dict``, ``embed`` and ``repr``.
+exponents 0..m-1 of zeta (zeta^m = 1) and then reduced by long division,
+touching only nonzero coefficients, by a chain of multiples of Phi_m of
+falling degree: Phi_{p_1...p_j}(x^(m/(p_1...p_j))) for the primes of m in
+ascending order, ending with Phi_m.  The early links are sparse (x^(m/2) + 1
+for even m, then x^(m/3) - x^(m/6) + 1 if 6 | m, ...), so the dense Phi_m
+divides only the last few rows.  Nothing per order is kept beyond that
+chain, so memory stays O(m) even for the large orders a user-chosen root of
+unity can bring in.  :class:`fractions.Fraction` appears only where
+rationals enter or leave: constructors, ``scale``, ``rational_value``,
+``to_dict``/``from_dict``, ``embed`` and ``repr``.
 
 The character sums of the library, sum_i zeta_n^k * a_i * b_i, go through one
 kernel, :func:`dot`: the root of unity is an exponent shift, conjugating b_i
@@ -87,25 +91,41 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(phi(m), the nonzero (j, c) of Phi_m below its leading term)."""
-    phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    return d, tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+def _phi_chain(m: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The multiples of Phi_m, of falling degree, that _mod_phi divides by in turn.
+
+    With the primes p_1 < ... < p_k of m and P_j = p_1...p_j, each
+    Phi_{P_j}(x^(m/P_j)) vanishes at every primitive m-th root of unity, so it
+    is a multiple of Phi_m; the last one (j = k) is Phi_m itself.  Each is
+    given as (degree, the nonzero (i, c) below its leading term), and the
+    early ones are sparse: Phi_{P_j} has few terms for small j."""
+    chain, rad = [], 1
+    for p in _prime_factors(m) or [1]:  # m = 1: Phi_1 alone
+        rad *= p
+        phi, step = cyclotomic_polynomial(rad), m // rad
+        chain.append(((len(phi) - 1) * step, tuple((i * step, c) for i, c in enumerate(phi[:-1]) if c)))
+    return tuple(chain)
 
 
 def _mod_phi(m: int, work: list[int]) -> tuple[int, ...]:
-    """Remainder of sum work[k] x^k modulo Phi_m, as phi(m) integers (work is consumed)."""
-    d, tail = _phi_tail(m)
-    for i in range(len(work) - 1, d - 1, -1):
-        c = work[i]
-        if c:
-            base = i - d
-            for j, pj in tail:
-                work[base + j] -= c * pj
+    """Remainder of sum work[k] x^k modulo Phi_m, as phi(m) integers (work is consumed).
+
+    Long division by each divisor of :func:`_phi_chain` in turn: the
+    remainder modulo a multiple of Phi_m has the same remainder modulo Phi_m,
+    and that remainder is unique, so only the last few rows meet the dense
+    Phi_m."""
+    for d, tail in _phi_chain(m):
+        if len(work) > d:
+            for i in range(len(work) - 1, d - 1, -1):
+                c = work[i]
+                if c:
+                    base = i - d
+                    for j, pj in tail:
+                        work[base + j] -= c * pj
+            del work[d:]
     if len(work) < d:
         work.extend([0] * (d - len(work)))
-    return tuple(work[:d])
+    return tuple(work)
 
 
 def _make(m: int, num: tuple[int, ...], den: int) -> "CycloNumber":
@@ -204,9 +224,10 @@ class CycloNumber:
         return _make(self.m, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = _coerce(other)
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            other = _coerce(other)
         order = self.m if self.m == other.m else lcm(self.m, other.m)
         sa, sb = order // self.m, order // other.m
         terms_b = [(j * sb, c) for j, c in enumerate(other.num) if c]
@@ -267,10 +288,13 @@ class CycloNumber:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.rational(other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                other = CycloNumber.rational(other)
+            elif not isinstance(other, CycloNumber):
+                return NotImplemented
+        if self.m == other.m:
+            return self.den == other.den and self.num == other.num
         a, b, _ = self._pair(other)
         return a.den == b.den and a.num == b.num
 

@@ -37,7 +37,9 @@ of each coset U*g from the same rows: U adds multiples of lower rows to upper
 rows, so that element has ZERO wherever a lower row starts (has its first
 nonzero entry).
 ``bessel_support`` lists the monomials t*w (w block anti-diagonal, t scalar
-on each block) off which Bessel functions vanish, inverses built directly.
+on each block) off which Bessel functions vanish, inverses built directly;
+``bruhat_cell`` writes any g as u1 n u2 with u1, u2 in U and n monomial, and
+returns n with the sum of the superdiagonals of u1 and u2.
 
 ``Mat.__mul__`` looks every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
@@ -74,13 +76,14 @@ SINGER = "singer"
 
 
 class Mat:
-    """A square matrix over a fixed GF(q), entries as field logs."""
+    """A square matrix over a fixed GF(q), entries as field logs; hashed once, when built."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_hash")
 
     def __init__(self, field: FieldSpec, rows):
         self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = rows = tuple(tuple(row) for row in rows)
+        self._hash = hash((field.p, field.k, rows))
 
     @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
@@ -97,7 +100,8 @@ class Mat:
         product = _PRODUCTS.get(len(rows)) or _build_product(len(rows))
         out = object.__new__(Mat)
         out.field = F
-        out.rows = product(*F.tables(), rows, other.rows)
+        out.rows = rows = product(*F.tables(), rows, other.rows)
+        out._hash = hash((F.p, F.k, rows))
         return out
 
     def det(self) -> int:
@@ -126,7 +130,7 @@ class Mat:
         return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.rows))
+        return self._hash
 
     def serialize(self) -> list[list[str]]:
         return [[FieldSpec.format_element(e) for e in row] for row in self.rows]
@@ -584,6 +588,47 @@ class GLGroup:
                     support.append((Mat(self.field, n), Mat(self.field, n_inv), length))
             self._support = tuple(support)
         return self._support
+
+    def bruhat_cell(self, g: Mat) -> tuple[Mat, int]:
+        """(n, s): g = u1 n u2 with u1, u2 in U, n monomial and s the sum of the
+        superdiagonals of u1 and u2, by row reduction in O(r^3) lookups.
+
+        Row i, from the last up, keeps its first nonzero entry, in column c:
+        adding multiples of column c to later columns (g times an elementary
+        matrix of U) clears the rest of row i, and adding multiples of row i
+        to earlier rows (an elementary matrix of U times g) clears the rest of
+        column c.  The rows below i are already ZERO off their own columns, so
+        neither step touches them.  The superdiagonal of a product in U is the
+        sum of theirs, so s adds up the factor f of every step between
+        neighbouring columns or rows: u1 and u2 are never built."""
+        F, r = self.field, self.r
+        add, mul = F.tables()
+        n1, minus = F.q - 1, mul[F.neg(0)]
+        a = [list(row) for row in g.rows]
+        s = ZERO
+        for i in range(r - 1, -1, -1):
+            row = a[i]
+            for c, x in enumerate(row):
+                if x != ZERO:
+                    break
+            else:
+                raise ValueError("matrix is singular")
+            inv = -row[c]
+            for k in range(c + 1, r):
+                if row[k] != ZERO:  # column k -= f * column c, f = a[i][k] / a[i][c]
+                    f = (row[k] + inv) % n1
+                    if k == c + 1:
+                        s = add[s][f]
+                    neg_f = minus[f]
+                    for h in range(i + 1):
+                        if a[h][c] != ZERO:
+                            a[h][k] = add[a[h][k]][mul[neg_f][a[h][c]]]
+            for h in range(i):
+                if a[h][c] != ZERO:  # row h -= f * row i, f = a[h][c] / a[i][c]; row i is ZERO off column c
+                    if h == i - 1:
+                        s = add[s][(a[h][c] + inv) % n1]
+                    a[h][c] = ZERO
+        return Mat(F, a), s
 
     # -- characteristic polynomial and class keys -------------------------
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cuspeps.bessel import (
+    BesselEvaluator,
     BesselTable,
     bessel_value,
     build_table,
@@ -61,6 +62,7 @@ def test_field_mismatch_rejected():
 
 
 def test_two_sided_equivariance():
+    """ev(u g) = ev(g u) = psi_U(u) J(g), with J(g) from the sum over U (ev holds it by construction)."""
     group, psi, cusps = _setup(3, 2)
     rng = random.Random(2)
     elems = group.elements(FULL)
@@ -68,10 +70,11 @@ def test_two_sided_equivariance():
         ev = get_evaluator(sigma, psi)
         for _ in range(100):
             g = rng.choice(elems)
+            jg = ev.direct(g)
             for u in group.elements(UNIPOTENT):
                 pu = group.psi_u(u, psi)
-                assert ev(u * g) == pu * ev(g)
-                assert ev(g * u) == pu * ev(g)
+                assert ev(u * g) == pu * jg
+                assert ev(g * u) == pu * jg
 
 
 def test_central_equivariance():
@@ -230,3 +233,60 @@ def test_bessel_support(q, r):
             assert length == sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
         else:
             assert all(value.is_zero() for value in scaled_j(n)), n
+
+
+# -- J by Bruhat cell, against the sum over U ----------------------------------
+
+CELL_GROUPS = [(2, 2, None), (3, 2, None), (4, 2, None), (5, 2, None), (2, 3, None), (3, 3, 300), (2, 4, 300)]
+
+
+def _cell_elements(group, sample):
+    elems = list(group.iterate(FULL))
+    return elems if sample is None else random.Random(group.q * 10 + group.r).sample(elems, sample)
+
+
+@pytest.mark.parametrize("q,r,sample", CELL_GROUPS)
+def test_bruhat_cell_factors(q, r, sample):
+    """n is one of the monomials, and some u1, u2 in U, found by search over U,
+    give u1 * n * u2 == g with superdiagonals adding up to s."""
+    group = gl_group(q, r)
+    F = group.field
+    monomials = {n for n, _ in _monomials(group)}
+    unipotent = [(u, u.inv(), _superdiagonal(F, u)) for u in group.elements(UNIPOTENT)]
+    for g in _cell_elements(group, sample):
+        n, s = group.bruhat_cell(g)
+        assert n in monomials
+        n_inv = n.inv()
+        factors = ((g * u2_inv * n_inv, u2, s2) for u2, u2_inv, s2 in unipotent)
+        assert any(
+            group.contains(UNIPOTENT, u1) and F.add(_superdiagonal(F, u1), s2) == s and u1 * n * u2 == g
+            for u1, u2, s2 in factors
+        ), g
+    singular = Mat(F, [[ZERO] * r] + [[0 if i == j else ZERO for j in range(r)] for i in range(1, r)])
+    with pytest.raises(ValueError, match="singular"):
+        group.bruhat_cell(singular)
+
+
+def _superdiagonal(F, u):
+    acc = ZERO
+    for i in range(len(u.rows) - 1):
+        acc = F.add(acc, u.rows[i][i + 1])
+    return acc
+
+
+@pytest.mark.parametrize("q,r,sample", CELL_GROUPS)
+def test_cell_values_match_the_sum_over_u(q, r, sample):
+    """Value and printed order equal the direct sum, zero values included, for
+    two cuspidals and two shifts a (where F_q^x has two elements)."""
+    group = gl_group(q, r)
+    elems = _cell_elements(group, sample)
+    zeros = 0
+    for a in range(min(2, q - 1)):
+        psi = AdditiveChar(group.field, a)
+        for sigma in list_cuspidals(group)[:2]:
+            ev = BesselEvaluator(sigma, psi)
+            for g in elems:
+                value, direct = ev(g), ev.direct(g)
+                assert value.to_dict() == direct.to_dict(), g
+                zeros += value.is_zero()
+    assert zeros or (q, r) == (2, 2)  # J on GL_2(F_2) is the sign character

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspeps.cyclo import UNIT, CycloNumber, cyclotomic_polynomial, dot, one, root_of_unity, zero
+from cuspeps.cyclo import UNIT, CycloNumber, _mod_phi, cyclotomic_polynomial, dot, one, root_of_unity, zero
 from cuspeps.ffield import ZERO, AdditiveChar, build_field
 
 
@@ -109,6 +109,41 @@ def test_rational_extraction():
     assert (root_of_unity(4, 1) ** 2).rational_value() == -1
     with pytest.raises(ValueError):
         root_of_unity(4, 1).rational_value()
+
+
+def _long_division(m, work):
+    """Remainder modulo Phi_m by plain long division against the dense Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    work = list(work)
+    for i in range(len(work) - 1, d - 1, -1):
+        c = work[i]
+        if c:
+            for j in range(d + 1):
+                work[i - d + j] -= c * phi[j]
+    return tuple(work[:d] + [0] * (d - len(work)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 9, 14, 30, 120, 240, 510, 728, 1023, 2046])
+def test_chained_mod_phi_matches_long_division(m):
+    """The reduction through multiples of Phi_m gives the unique remainder, on
+    sparse and dense vectors up to two full periods long."""
+    rng = random.Random(m)
+    for _ in range(8 if m < 500 else 2):
+        density = rng.choice((0.05, 0.5, 1.0))
+        work = [rng.randrange(-99, 100) if rng.random() < density else 0 for _ in range(rng.randrange(1, 2 * m + 1))]
+        assert _mod_phi(m, list(work)) == _long_division(m, work)
+    assert _mod_phi(m, [0] * (2 * m - 1) + [1]) == _long_division(m, [0] * (m - 1) + [1])  # x^(2m-1) = x^(m-1)
+
+
+def test_eq_fast_paths():
+    """Equal orders compare (den, num); ints, Fractions and other orders still work."""
+    z = root_of_unity(12, 5)
+    assert z == CycloNumber(12, [0] * 5 + [1]) and z != root_of_unity(12, 7)
+    assert CycloNumber(6, [Fraction(1, 2)]) == Fraction(1, 2) and CycloNumber(6, [2]) == 2
+    assert root_of_unity(6, 3) == root_of_unity(2, 1) == -1
+    assert z.__eq__("z") is NotImplemented and z != "z"
+    assert z * 2 == z + z and z * Fraction(1, 2) == CycloNumber(12, [0] * 5 + [Fraction(1, 2)])
 
 
 # -- reference: the Fraction-list arithmetic this module used to run on ------
