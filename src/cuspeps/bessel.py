@@ -32,13 +32,14 @@ each sum over U, Hankel sum and entry of an operator product is one call of
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
 from .cyclo import UNIT, CycloNumber, dot, root_of_unity, zero
 from .cusp import CuspidalRep, contragredient
-from .ffield import AdditiveChar
-from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, Mat
+from .ffield import AdditiveChar, FieldSpec
+from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat
 
 __all__ = [
     "BesselEvaluator",
@@ -66,10 +67,9 @@ class BesselEvaluator:
             raise ValueError("psi must be nontrivial (nondegenerate on U)")
         self.sigma = sigma
         self.psi = psi
-        group = sigma.group
-        self._terms = tuple(
-            (group.psi_u_root(u, psi), u.inv()) for u in group.elements(UNIPOTENT)
-        )
+        group, conj = sigma.group, psi.conjugate()
+        # the sum over v = u^-1 in U: psi_U(u) = psi_U(v^-1) = conj psi_U(v)
+        self._terms = tuple((group.psi_u_root(v, conj), v) for v in group.elements(UNIPOTENT))
         self._norm = Fraction(1, len(self._terms))
         self._cache: dict[Mat, CycloNumber] = {}
         # (monomial n, psi(s) as (order, exponent)) -> psi(s) J(n)
@@ -79,7 +79,7 @@ class BesselEvaluator:
         """J(g) by the defining sum over U, uncached: the formula for monomials
         and the reference the equivariance checks compare against."""
         char_at = self.sigma.char_at
-        return dot((w, char_at(g * u_inv), None) for w, u_inv in self._terms).scale(self._norm)
+        return dot((w, char_at(g * v), None) for w, v in self._terms).scale(self._norm)
 
     def __call__(self, g: Mat) -> CycloNumber:
         cached = self._cache.get(g)
@@ -99,16 +99,15 @@ class BesselEvaluator:
         return value
 
 
-_EVALUATORS: dict[tuple, BesselEvaluator] = {}
-
-
 def get_evaluator(sigma: CuspidalRep, psi: AdditiveChar) -> BesselEvaluator:
-    key = (id(sigma.group), sigma.orbit, id(psi.field), psi.a)
-    ev = _EVALUATORS.get(key)
-    if ev is None or ev.sigma.group is not sigma.group:
-        ev = BesselEvaluator(sigma, psi)
-        _EVALUATORS[key] = ev
-    return ev
+    """The one evaluator of (sigma, psi), shared by every equal pair."""
+    return _evaluator(sigma.group, sigma.exponent, psi.field, psi.a)
+
+
+@functools.cache
+def _evaluator(group: GLGroup, exponent: int, field: FieldSpec, a: int) -> BesselEvaluator:
+    # keyed by what hashes in C, not by the records, whose hashes run in Python
+    return BesselEvaluator(CuspidalRep(group, exponent), AdditiveChar(field, a))
 
 
 def bessel_value(sigma: CuspidalRep, psi: AdditiveChar, g: Mat) -> CycloNumber:

@@ -22,6 +22,7 @@ compiles only those: ``cuspidals``, for instance, never loads ``bessel``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,6 +268,9 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+# Built by the first main call and reused: building takes about 15 times as
+# long as parsing one request, and a long-lived process calls main per request.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspeps",
@@ -329,17 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first main call and reused: building takes about 15 times as
-# long as parsing one request, and a long-lived process calls main per request.
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

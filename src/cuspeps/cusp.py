@@ -19,6 +19,7 @@ before anything downstream is trusted.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .cyclo import UNIT, CycloNumber, dot, one, zero
@@ -168,8 +169,8 @@ def induced_psi_character(
     """Character of Ind_U^M(psi_U) at g, by the coset sum over M/U.
 
     The value depends on no cuspidal, so each sum runs once per (group, kind,
-    psi, g) and is kept in ``group.induced_psi_values``."""
-    values = group.induced_psi_values.setdefault((kind, psi), {})
+    psi, g), kept in the dict of :func:`_induced_values`."""
+    values = _induced_values(group, kind, psi)
     acc = values.get(g)
     if acc is None:
         reps = zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
@@ -179,6 +180,12 @@ def induced_psi_character(
         acc = dot((group.psi_u_root(h, psi), unit, None) for h in unipotent)
         values[g] = acc
     return acc
+
+
+@functools.cache
+def _induced_values(group: GLGroup, kind: str, psi: AdditiveChar) -> dict[Mat, CycloNumber]:
+    """g -> character of Ind_U^kind(psi_U) at g, filled by :func:`induced_psi_character`."""
+    return {}
 
 
 def mirabolic_restriction_check(sigma: CuspidalRep, psi: AdditiveChar) -> bool:

@@ -34,8 +34,8 @@ Since ``to_dict`` prints the order, this rule is part of the output.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
@@ -63,7 +63,7 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, low degree first, monic.
 
@@ -90,7 +90,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _phi_chain(m: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The multiples of Phi_m, of falling degree, that _mod_phi divides by in turn.
 

@@ -24,6 +24,7 @@ multiplication.
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 
 from ._frozen import Frozen, set_field
@@ -41,9 +42,7 @@ __all__ = [
 ]
 
 ZERO = -1  # log encoding of the zero element
-DEFAULT_MAX_Q = 4096
-
-_FIELDS: dict[tuple[int, int], "FieldSpec"] = {}
+MAX_Q = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -98,7 +97,6 @@ class FieldSpec:
         "_log",
         "_prime_embed",
         "_prime_decode",
-        "_embed_mult",
         "_neg_shift",
         "_tables",
     )
@@ -122,7 +120,6 @@ class FieldSpec:
             embed.append(self._log[vec])
         self._prime_embed = tuple(embed)
         self._prime_decode = {e: c for c, e in enumerate(embed)}
-        self._embed_mult: dict[tuple[int, int], int] = {}
         self._neg_shift = 0 if p == 2 else (self.q - 1) // 2
         self._tables = None
 
@@ -225,46 +222,37 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.k}))"
 
-    def __hash__(self):
-        return hash((self.p, self.k))
 
-    def __eq__(self, other):
-        return self is other
-
-
-def build_field(p: int, k: int = 1, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
-    """Construct (or fetch) GF(p^k) with a verified primitive modulus."""
+def build_field(p: int, k: int = 1) -> FieldSpec:
+    """The one GF(p^k) (built on first use) with a verified primitive modulus."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > max_q:
-        raise ValueError(f"field size {p**k} exceeds the configured bound {max_q}")
-    key = (p, k)
-    if key in _FIELDS:
-        return _FIELDS[key]
+    if p**k > MAX_Q:
+        raise ValueError(f"field size {p**k} exceeds the configured bound {MAX_Q}")
+    return _field(p, k)
 
+
+@functools.cache
+def _field(p: int, k: int) -> FieldSpec:
     for val in range(1, p**k):
         cand = tuple((val // p**i) % p for i in range(k)) + (1,)
         if cand[0] == 0:
             continue
         powers = _power_table(list(cand), p, k)
         if powers is not None:
-            spec = FieldSpec(p, k, cand, powers)
-            _FIELDS[key] = spec
-            return spec
+            return FieldSpec(p, k, cand, powers)
     raise AssertionError("no primitive polynomial found; this cannot happen")
 
 
+@functools.cache
 def _embedding_multiplier(src: FieldSpec, dst: FieldSpec) -> int:
     """Exponent multiplier of the canonical embedding src -> dst."""
     if src.p != dst.p:
         raise ValueError("fields have different characteristic")
     if dst.k % src.k:
         raise ValueError(f"GF({src.p}^{src.k}) does not embed in GF({dst.p}^{dst.k})")
-    key = (dst.p, dst.k)
-    if key in src._embed_mult:
-        return src._embed_mult[key]
     step = (dst.q - 1) // (src.q - 1)
     for t in range(1, src.q):
         if gcd(t, src.q - 1) != 1:
@@ -275,7 +263,6 @@ def _embedding_multiplier(src: FieldSpec, dst: FieldSpec) -> int:
         for c in reversed(src.modulus):
             acc = dst.add(dst.mul(acc, h), dst.from_int(c))
         if acc == ZERO:
-            src._embed_mult[key] = h
             return h
     raise AssertionError("no compatible embedding found; this cannot happen")
 

@@ -97,10 +97,9 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         F = self.field
         rows = self.rows
-        product = _PRODUCTS.get(len(rows)) or _build_product(len(rows))
         out = object.__new__(Mat)
         out.field = F
-        out.rows = rows = product(*F.tables(), rows, other.rows)
+        out.rows = rows = _product(len(rows))(*F.tables(), rows, other.rows)
         out._hash = hash((F.p, F.k, rows))
         return out
 
@@ -139,10 +138,8 @@ class Mat:
         return "Mat(" + "; ".join(",".join(FieldSpec.format_element(e) for e in row) for row in self.rows) + ")"
 
 
-_PRODUCTS: dict[int, Callable] = {}
-
-
-def _build_product(r: int) -> Callable:
+@functools.cache
+def _product(r: int) -> Callable:
     """The r x r product over a field's (add, mul) tables, as straight-line code.
 
     Entry (i, j) is one chain add[..add[mul[a_i0][b_0j]][mul[a_i1][b_1j]]..]
@@ -161,14 +158,11 @@ def _build_product(r: int) -> Callable:
     source = f"def product(add, mul, a, b):\n    {unpack('a')} = a\n    {unpack('b')} = b\n    return ({rows})\n"
     namespace: dict = {}
     exec(source, namespace)
-    product = _PRODUCTS[r] = namespace["product"]
-    return product
+    return namespace["product"]
 
 
-_CHARPOLYS: dict[int, tuple[Callable, Callable]] = {}
-
-
-def _build_charpoly(r: int) -> tuple[Callable, Callable]:
+@functools.cache
+def _charpoly_kernels(r: int) -> tuple[Callable, Callable]:
     """``prefix(tables, rows)`` and ``last(tables, pre, v, whole)``: det(x*I - g) as straight-line code.
 
     prefix reads the first r - 1 rows of g, last adds in the last row v.  Both
@@ -230,13 +224,12 @@ def _build_charpoly(r: int) -> tuple[Callable, Callable]:
     )
     namespace: dict = {}
     exec(source, namespace)
-    kernel = _CHARPOLYS[r] = namespace["prefix"], namespace["last"]
-    return kernel
+    return namespace["prefix"], namespace["last"]
 
 
 def _charpoly(F: FieldSpec, rows) -> tuple:
     """det(x*I - g) for the matrix g with these rows, low degree first."""
-    prefix, last = _CHARPOLYS.get(len(rows)) or _build_charpoly(len(rows))
+    prefix, last = _charpoly_kernels(len(rows))
     tables = (*F.tables(), F.neg(0))
     return last(tables, prefix(tables, rows[:-1]), rows[-1], True)
 
@@ -338,9 +331,10 @@ def _centralizer_order(Q: int, blocks) -> int:
 class GLGroup:
     """GL_r over GF(q) with cached structural data.
 
-    Instances are shared through :func:`gl_group`, so the expensive caches
-    (class map, coset representatives, Singer expansion) are built once.
-    All public methods are pure; the caches are append-only.
+    Instances are shared through :func:`gl_group`.  What is built once per
+    group is memoized by ``functools.cache`` on its method; the class key of
+    each element is kept in the dict ``_key_cache``.  All public methods are
+    pure; the caches are append-only.
     """
 
     def __init__(self, field: FieldSpec, r: int):
@@ -350,20 +344,7 @@ class GLGroup:
         self.r = r
         self.q = field.q
         self.big_field = build_field(field.p, field.k * r)
-        self._ext: dict[int, FieldSpec] = {1: field, r: self.big_field}
-        self._ext_embed: dict[int, tuple[int, ...]] = {}
-        self._singer_coeffs: list[tuple[int, ...]] | None = None
-        self._singer_index: dict[tuple[int, ...], int] | None = None
-        self._primary: dict[tuple, tuple[int, int]] | None = None
         self._key_cache: dict[Mat, ClassKey] = {}
-        self._class_map: dict[ClassKey, list] | None = None
-        self._coset_cache: dict[str, tuple[Mat, ...]] = {}
-        self._coset_inv_cache: dict[str, tuple[Mat, ...]] = {}
-        self._support: tuple[tuple[Mat, Mat, int], ...] | None = None
-        self._subgroup_cache: dict[str, tuple[Mat, ...]] = {}
-        # (kind, psi) -> {g: character of Ind_U^kind(psi_U) at g}, filled by
-        # cusp.induced_psi_character, which depends on no cuspidal
-        self.induced_psi_values: dict[tuple[str, AdditiveChar], dict[Mat, CycloNumber]] = {}
 
     # -- sizes ---------------------------------------------------------
 
@@ -414,7 +395,7 @@ class GLGroup:
         ``prefix`` runs once per choice of the first r - 1 rows (skipped if its
         cofactors are all ZERO), ``last`` once per last row."""
         F, r = self.field, self.r
-        prefix, last = _CHARPOLYS.get(r) or _build_charpoly(r)
+        prefix, last = _charpoly_kernels(r)
         tables = (*F.tables(), F.neg(0))
         choices = [self._rows(lead) for lead in _leads(kind, r)]
         lasts = choices.pop()
@@ -432,12 +413,11 @@ class GLGroup:
         free = ((ZERO,) if c in zeros else elems for c in range(len(lead), self.r))
         return [lead + tail for tail in itertools.product(*free)]
 
+    @functools.cache
     def elements(self, kind: str) -> tuple[Mat, ...]:
-        if kind not in self._subgroup_cache:
-            elems = tuple(self.iterate(kind))
-            assert len(elems) == self.subgroup_order(kind)
-            self._subgroup_cache[kind] = elems
-        return self._subgroup_cache[kind]
+        elems = tuple(self.iterate(kind))
+        assert len(elems) == self.subgroup_order(kind)
+        return elems
 
     def contains(self, kind: str, m: Mat) -> bool:
         """Whether m lies in the subgroup: a matrix of this group, invertible,
@@ -469,35 +449,30 @@ class GLGroup:
 
     # -- Singer torus ----------------------------------------------------
 
+    @functools.cache
     def ext_field(self, d: int) -> FieldSpec:
         if self.r % d:
             raise ValueError(f"{d} does not divide r={self.r}")
-        if d not in self._ext:
-            self._ext[d] = build_field(self.field.p, self.field.k * d)
-        return self._ext[d]
+        return build_field(self.field.p, self.field.k * d)
 
-    def _build_singer(self):
-        """Coordinates of GF(q^r) in the basis 1, G, ..., G^{r-1} over GF(q)."""
+    @functools.cache
+    def _singer(self) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+        """Coordinates of GF(q^r) in the basis 1, G, ..., G^{r-1} over GF(q):
+        those of g_big^e for each e, and the log of each coordinate tuple."""
         F, K = self.field, self.big_field
-        coeffs: dict[int, tuple[int, ...]] = {}
         index: dict[tuple[int, ...], int] = {}
         for tup in self._rows(()):
             acc = ZERO
             for i, c in enumerate(tup):
                 if c != ZERO:  # the basis element G^i has log i
                     acc = K.add(acc, K.mul(subfield_embed(c, F, K), i))
-            coeffs[acc] = tup
             index[tup] = acc
-        table = [coeffs[e] for e in range(K.q - 1)]
-        assert len(coeffs) == K.q, "powers of the generator must span over GF(q)"
-        self._singer_coeffs = table
-        self._singer_index = index
+        assert len(set(index.values())) == K.q, "powers of the generator must span over GF(q)"
+        return tuple(sorted(index, key=index.get))[1:], index  # by log; the zero tuple (ZERO) sorts first
 
     def singer_coeffs(self, e: int) -> tuple[int, ...]:
         """Coordinates of g_big^e in the power basis (logs over GF(q))."""
-        if self._singer_coeffs is None:
-            self._build_singer()
-        return self._singer_coeffs[e % (self.big_field.q - 1)]
+        return self._singer()[0][e % (self.big_field.q - 1)]
 
     def singer_matrix(self, e: int) -> Mat:
         """The multiplication-by-g^e matrix; a generator image of the Singer embedding."""
@@ -510,10 +485,8 @@ class GLGroup:
         """Unique factorization g = x*h with x in the torus, h fixing e_1.
 
         Returns (log of x in GF(q^r), h)."""
-        if self._singer_index is None:
-            self._build_singer()
         first_col = tuple(g.rows[i][0] for i in range(self.r))
-        x = self._singer_index[first_col]
+        x = self._singer()[1][first_col]
         if x == ZERO:
             raise ValueError("matrix is singular")
         h = self.singer_matrix(-x) * g  # the torus inverse of g_big^x is g_big^-x
@@ -521,6 +494,7 @@ class GLGroup:
 
     # -- coset representatives -------------------------------------------
 
+    @functools.cache
     def coset_reps(self, kind: str) -> tuple[Mat, ...]:
         """Representatives of U\\M for M in {full, mirabolic, stabilizer}.
 
@@ -529,8 +503,6 @@ class GLGroup:
         wherever a lower row starts (see the module docstring), built bottom up."""
         if kind not in (FULL, MIRABOLIC, STABILIZER):
             raise ValueError(f"no unipotent coset decomposition for {kind!r}")
-        if kind in self._coset_cache:
-            return self._coset_cache[kind]
         self.check_bound(kind)
         built = [((), ())]  # (the rows from some row down, the column where each starts)
         for lead in reversed(_leads(kind, self.r)):  # no lead sits where a lower row starts
@@ -545,17 +517,15 @@ class GLGroup:
         reps = sorted((rows for rows, _ in built), key=lambda rows: (rows != first, rows))
         expected = self.subgroup_order(kind) // self.subgroup_order(UNIPOTENT)
         assert len(reps) == expected, "coset partition does not tile the subgroup"
-        out = tuple(Mat(self.field, rows) for rows in reps)
-        self._coset_cache[kind] = out
-        return out
+        return tuple(Mat(self.field, rows) for rows in reps)
 
+    @functools.cache
     def coset_rep_inverses(self, kind: str) -> tuple[Mat, ...]:
-        if kind not in self._coset_inv_cache:
-            self._coset_inv_cache[kind] = tuple(c.inv() for c in self.coset_reps(kind))
-        return self._coset_inv_cache[kind]
+        return tuple(c.inv() for c in self.coset_reps(kind))
 
     # -- support of the Bessel functions -----------------------------------
 
+    @functools.cache
     def bessel_support(self) -> tuple[tuple[Mat, Mat, int], ...]:
         """(n, n^-1, len(w)) for each monomial n = t*w off which every Bessel function vanishes.
 
@@ -566,28 +536,26 @@ class GLGroup:
         composition with the inverse scalars, built directly.  A Bessel value
         sums over U, so the support refuses (ValueError) when it times |U|
         exceeds ELEMENT_BOUND, before anything is built."""
-        if self._support is None:
-            q, r = self.q, self.r
-            size = (q - 1) * q ** (r - 1) * self.subgroup_order(UNIPOTENT)
-            if size > ELEMENT_BOUND:
-                raise ValueError(
-                    f"the Bessel support of GL_{r}(F_{q}) times its unipotent subgroup has "
-                    f"{size} elements, over the bound {ELEMENT_BOUND}"
-                )
-            support = []
-            for cuts in itertools.product((False, True), repeat=r - 1):
-                ends = [i for i in range(1, r) if cuts[i - 1]] + [r]
-                blocks = list(zip([0, *ends], ends))  # rows lo..hi-1 sit in columns r-hi..r-lo-1
-                length = (r * r - sum((hi - lo) ** 2 for lo, hi in blocks)) // 2
-                for scalars in itertools.product(range(q - 1), repeat=len(blocks)):
-                    n, n_inv = [[ZERO] * r for _ in range(r)], [[ZERO] * r for _ in range(r)]
-                    for (lo, hi), e in zip(blocks, scalars):
-                        for i in range(lo, hi):
-                            n[i][r - lo - hi + i] = e
-                            n_inv[r - lo - hi + i][i] = -e % (q - 1)
-                    support.append((Mat(self.field, n), Mat(self.field, n_inv), length))
-            self._support = tuple(support)
-        return self._support
+        q, r = self.q, self.r
+        size = (q - 1) * q ** (r - 1) * self.subgroup_order(UNIPOTENT)
+        if size > ELEMENT_BOUND:
+            raise ValueError(
+                f"the Bessel support of GL_{r}(F_{q}) times its unipotent subgroup has "
+                f"{size} elements, over the bound {ELEMENT_BOUND}"
+            )
+        support = []
+        for cuts in itertools.product((False, True), repeat=r - 1):
+            ends = [i for i in range(1, r) if cuts[i - 1]] + [r]
+            blocks = list(zip([0, *ends], ends))  # rows lo..hi-1 sit in columns r-hi..r-lo-1
+            length = (r * r - sum((hi - lo) ** 2 for lo, hi in blocks)) // 2
+            for scalars in itertools.product(range(q - 1), repeat=len(blocks)):
+                n, n_inv = [[ZERO] * r for _ in range(r)], [[ZERO] * r for _ in range(r)]
+                for (lo, hi), e in zip(blocks, scalars):
+                    for i in range(lo, hi):
+                        n[i][r - lo - hi + i] = e
+                        n_inv[r - lo - hi + i][i] = -e % (q - 1)
+                support.append((Mat(self.field, n), Mat(self.field, n_inv), length))
+        return tuple(support)
 
     def bruhat_cell(self, g: Mat) -> tuple[Mat, int]:
         """(n, s): g = u1 n u2 with u1, u2 in U, n monomial and s the sum of the
@@ -646,6 +614,7 @@ class GLGroup:
             key = self._key_cache[g] = self._key_of(cp, g.rows)
         return key
 
+    @functools.cache
     def _primary_classes(self) -> dict[tuple, tuple[int, int]]:
         """charpoly -> (d, eig) for the primary classes, read off the Singer torus.
 
@@ -654,18 +623,16 @@ class GLGroup:
         GF(q^d)^x.  So each such orbit, named by its smallest log y in GF(q^d),
         gives one entry: the charpoly of the Singer matrix of y (embedded in
         GF(q^r)) is minpoly(y)^(r/d), and eig = y."""
-        if self._primary is None:
-            K, primary = self.big_field, {}
-            for d in range(1, self.r + 1):
-                if self.r % d:
-                    continue
-                ext = self.ext_field(d)
-                for y in range(ext.q - 1):
-                    orbit = frobenius_orbit(y, self.q, ext.q - 1)
-                    if orbit[0] == y and len(orbit) == d:
-                        primary[self.charpoly(self.singer_matrix(subfield_embed(y, ext, K)))] = (d, y)
-            self._primary = primary
-        return self._primary
+        K, primary = self.big_field, {}
+        for d in range(1, self.r + 1):
+            if self.r % d:
+                continue
+            ext = self.ext_field(d)
+            for y in range(ext.q - 1):
+                orbit = frobenius_orbit(y, self.q, ext.q - 1)
+                if orbit[0] == y and len(orbit) == d:
+                    primary[self.charpoly(self.singer_matrix(subfield_embed(y, ext, K)))] = (d, y)
+        return primary
 
     def _key_of(self, cp, rows) -> ClassKey:
         """Class key of the invertible matrix with these rows and charpoly cp."""
@@ -682,10 +649,8 @@ class GLGroup:
         j counts the blocks of size at least j.  Once at most one block is
         undecided (a step of at most one block, or at most one unit of r/d
         left), it takes the rest; each nullity sequence is looked up once."""
-        F, ext, r, n = self.field, self.ext_field(d), self.r, self.r // d
-        embed = self._ext_embed.get(d) if d > 1 else ()
-        if embed is None:  # by log, ZERO in the last slot, as in FieldSpec.tables
-            embed = self._ext_embed[d] = tuple(subfield_embed(v, F, ext) for v in (*range(F.q - 1), ZERO))
+        ext, r, n = self.ext_field(d), self.r, self.r // d
+        embed = self._embedded_logs(d) if d > 1 else ()
         gx = power = [[embed[v] for v in row] if embed else list(row) for row in rows]
         tables, minus_x = ext.tables(), ext.neg(eig)
         for i in range(r):
@@ -696,10 +661,17 @@ class GLGroup:
             steps, seen = steps + (step,), seen + step
             if step <= 1 or n - seen <= 1:
                 return _partition(steps + (1,) * (n - seen))
-            power = (_PRODUCTS.get(r) or _build_product(r))(*tables, power, gx)
+            power = _product(r)(*tables, power, gx)
+
+    @functools.cache
+    def _embedded_logs(self, d: int) -> tuple[int, ...]:
+        """The image in GF(q^d) of each element of GF(q), by log, ZERO in the last slot, as in FieldSpec.tables."""
+        F = self.field
+        return tuple(subfield_embed(v, F, self.ext_field(d)) for v in (*range(F.q - 1), ZERO))
 
     # -- class map ---------------------------------------------------------
 
+    @functools.cache
     def class_map(self) -> dict[ClassKey, list]:
         """key -> [element count, representative], over the full group.
 
@@ -710,36 +682,31 @@ class GLGroup:
         {z*I} not met by then lies later, the z*I in ascending z (ZERO sorts
         first), so each is appended as [1, z*I].  A scan that ends with a
         non-central key missing is an internal error."""
-        if self._class_map is None:
-            self.check_bound(FULL)
-            q, r, order = self.q, self.r, self.order()
-            sizes = {ClassKey(d, eig, blocks): order // _centralizer_order(q**d, blocks)
-                     for d, eig in self._primary_classes().values() for blocks in _partitions(r // d)}
-            rest = order - sum(sizes.values())
-            if rest:
-                sizes[NON_PRIMARY] = rest
-            central = [ClassKey(1, z, (1,) * r) for z in range(q - 1)]
-            missing, table = set(sizes).difference(central), {}
-            for rows, cp in self._scan(FULL) if missing else ():
-                key = self._key_of(cp, rows)
-                if key not in table:
-                    table[key] = [sizes[key], Mat(self.field, rows)]
-                    missing.discard(key)
-                    if not missing:
-                        break
-            if missing:
-                raise RuntimeError(f"class_map of GL_{r}(F_{q}): no element found for {sorted(map(str, missing))}")
-            for z, key in enumerate(central):
-                if key not in table:
-                    table[key] = [1, Mat(self.field, [[z if i == j else ZERO for j in range(r)] for i in range(r)])]
-            self._class_map = table
-        return self._class_map
+        self.check_bound(FULL)
+        q, r, order = self.q, self.r, self.order()
+        sizes = {ClassKey(d, eig, blocks): order // _centralizer_order(q**d, blocks)
+                 for d, eig in self._primary_classes().values() for blocks in _partitions(r // d)}
+        rest = order - sum(sizes.values())
+        if rest:
+            sizes[NON_PRIMARY] = rest
+        central = [ClassKey(1, z, (1,) * r) for z in range(q - 1)]
+        missing, table = set(sizes).difference(central), {}
+        for rows, cp in self._scan(FULL) if missing else ():
+            key = self._key_of(cp, rows)
+            if key not in table:
+                table[key] = [sizes[key], Mat(self.field, rows)]
+                missing.discard(key)
+                if not missing:
+                    break
+        if missing:
+            raise RuntimeError(f"class_map of GL_{r}(F_{q}): no element found for {sorted(map(str, missing))}")
+        for z, key in enumerate(central):
+            if key not in table:
+                table[key] = [1, Mat(self.field, [[z if i == j else ZERO for j in range(r)] for i in range(r)])]
+        return table
 
     def identity(self) -> Mat:
         return Mat(self.field, [[0 if i == j else ZERO for j in range(self.r)] for i in range(self.r)])
-
-
-_GROUPS: dict[tuple[int, int], GLGroup] = {}
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -756,8 +723,10 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def gl_group(q: int, r: int) -> GLGroup:
-    """Shared GLGroup instance for GL_r(F_q)."""
-    p, k = _prime_power(q)
-    if (q, r) not in _GROUPS:
-        _GROUPS[q, r] = GLGroup(build_field(p, k), r)
-    return _GROUPS[q, r]
+    """The one GLGroup instance for GL_r(F_q)."""
+    return _group(*_prime_power(q), r)
+
+
+@functools.cache
+def _group(p: int, k: int, r: int) -> GLGroup:
+    return GLGroup(build_field(p, k), r)

@@ -61,6 +61,19 @@ def test_field_mismatch_rejected():
         get_evaluator(cusps[0], AdditiveChar(group.field, ZERO))
 
 
+def test_get_evaluator_is_one_per_pair():
+    """Equal cuspidals from separate listings share one evaluator; another shift gets its own."""
+    group, psi, cusps = _setup(3, 2)
+    again = list_cuspidals(group)
+    assert again[0] is not cusps[0]
+    ev = get_evaluator(cusps[0], psi)
+    assert get_evaluator(again[0], AdditiveChar(group.field, 0)) is ev
+    assert get_evaluator(cusps[1], psi) is not ev
+    other = get_evaluator(cusps[0], AdditiveChar(group.field, 1))
+    assert other is not ev and other.psi.a == 1
+    assert get_evaluator(again[0], AdditiveChar(group.field, 1)) is other
+
+
 def test_two_sided_equivariance():
     """ev(u g) = ev(g u) = psi_U(u) J(g), with J(g) from the sum over U (ev holds it by construction)."""
     group, psi, cusps = _setup(3, 2)

@@ -200,20 +200,18 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
+def test_parser_is_built_once(capsys):
     """main builds the parser on its first call only, and a reused parser
     prints the same bytes as a fresh one, usage errors included."""
     requests = (("field", "--p", "2", "--k", "2"), ("nonsense",), ("field", "--p", "3"))
     fresh = []
     for argv in requests:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli.build_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
-    built = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli.build_parser.cache_clear()
     reused = [run_cli(capsys, *argv) for argv in requests]
-    assert len(built) == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0]
     assert "invalid choice" in reused[1][2]

@@ -34,6 +34,18 @@ def _setup(q, r):
     return group, psi, list_cuspidals(group)
 
 
+def _coset_kinds_asked(monkeypatch):
+    """The kinds of every later GLGroup.coset_reps call, cached or not."""
+    kinds, coset_reps = [], GLGroup.coset_reps
+
+    def spy(self, kind):
+        kinds.append(kind)
+        return coset_reps(self, kind)
+
+    monkeypatch.setattr(GLGroup, "coset_reps", spy)
+    return kinds
+
+
 # -- RootOfUnity and SMonomial ------------------------------------------------
 
 
@@ -128,23 +140,25 @@ def test_support_sum_equals_coset_sum(q, r):
 
 
 @pytest.mark.parametrize("q,r,theta1,theta2", [(5, 3, 1, 2), (3, 4, 1, 2), (2, 5, 1, 3)])
-def test_epsilon_beyond_the_element_bound(q, r, theta1, theta2):
-    """Groups over the element bound answer; the answer is exactly unitary."""
+def test_epsilon_beyond_the_element_bound(q, r, theta1, theta2, monkeypatch):
+    """Groups over the element bound answer, without the coset reps of U\\G;
+    the answer is exactly unitary."""
+    kinds = _coset_kinds_asked(monkeypatch)
     group, psi, cusps = _setup(q, r)
     assert group.order() > 10**6
     s1, s2 = (next(s for s in cusps if t in s.orbit) for t in (theta1, theta2))
     eps = epsilon_pair(LevelZeroRep(s1), LevelZeroRep(s2), psi)
     assert eps.coeff * eps.coeff.conjugate() == q**r
     assert eps.qbase == q and eps.half_exp == -r and eps.s_coeff == 0
-    assert FULL not in group._coset_cache
+    assert FULL not in kinds
 
 
 def test_gauss_pair_sum_work_bound():
     group = GLGroup(build_field(11, 1), 3)  # 10 * 11^2 monomials, each summed over |U| = 11^3
     cusps = list_cuspidals(group)
-    with pytest.raises(ValueError, match="1610510 elements"):
-        gauss_pair_sum(cusps[0], cusps[1], AdditiveChar(group.field, 0))
-    assert group._support is None
+    for _ in range(2):  # a refused support is not cached: the second call refuses again
+        with pytest.raises(ValueError, match="1610510 elements"):
+            gauss_pair_sum(cusps[0], cusps[1], AdditiveChar(group.field, 0))
     assert len(gl_group(32, 2).bessel_support()) == 31 * 32  # 31744 elements, under the bound
 
 
@@ -288,12 +302,13 @@ def test_shell_sums_add_up_to_full_pair_sum(q, r):
             assert total == pair_sum_vanishing(s1, s2, psi, group.identity())
 
 
-def test_oracle_builds_no_full_coset_reps():
+def test_oracle_builds_no_full_coset_reps(monkeypatch):
+    kinds = _coset_kinds_asked(monkeypatch)
     group = GLGroup(build_field(3, 1), 2)
     psi = AdditiveChar(group.field, 0)
     tau = LevelZeroRep(list_cuspidals(group)[0], RootOfUnity(3, 1))
     assert zeta_tilde_oracle(tau, LevelZeroRep(tau.sigma), psi) == epsilon_pair(tau, LevelZeroRep(tau.sigma), psi)
-    assert FULL not in group._coset_cache
+    assert kinds and FULL not in kinds
 
 
 def test_sampled_oracle_failure_is_reported(monkeypatch):

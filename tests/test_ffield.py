@@ -21,11 +21,14 @@ def test_build_field_examples():
     assert f8.modulus == (1, 1, 0, 1)  # x^3 + x + 1, smallest primitive cubic
 
 
+def test_build_field_is_one_object_per_field():
+    assert build_field(3) is build_field(3, 1) is build_field(p=3, k=1) is build_field(3, k=1)
+    assert build_field(2, 2) is not build_field(2, 1)
+
+
 def test_build_field_errors():
     with pytest.raises(ValueError):
         build_field(4, 1)
-    with pytest.raises(ValueError):
-        build_field(2, 1, max_q=1)
     with pytest.raises(ValueError):
         build_field(2, 13)  # 8192 over the default cap
 

@@ -351,7 +351,8 @@ def test_class_map_missing_class_is_an_internal_error(monkeypatch, capsys):
     group = GLGroup(gl_group(3, 2).field, 2)
     with pytest.raises(RuntimeError, match="no element found"):
         group.class_map()
-    monkeypatch.setattr(glq, "_GROUPS", {})
+    # a fresh group per call: the shared ones may already hold a class map
+    monkeypatch.setattr(glq, "gl_group", lambda q, r: GLGroup(gl_group(q, r).field, r))
     assert cli.main(["cuspidals", "--q", "3", "--r", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "error: internal error: RuntimeError" in captured.err
@@ -583,11 +584,28 @@ def test_coset_reps_match_oracle_order(q, r):
         assert list(group.coset_reps(kind)) == _oracle_coset_reps(group, kind), kind
 
 
-def test_coset_reps_enumerate_no_subgroup():
+def test_coset_reps_enumerate_no_subgroup(monkeypatch):
+    iterated, iterate = [], GLGroup.iterate
+    monkeypatch.setattr(GLGroup, "iterate", lambda self, kind: iterated.append(kind) or iterate(self, kind))
     group = GLGroup(build_field(3, 1), 3)
     for kind in COSET_KINDS:
         assert len(group.coset_reps(kind)) == group.subgroup_order(kind) // group.subgroup_order(UNIPOTENT)
-    assert group._subgroup_cache == {}
+    assert iterated == []
+
+
+def test_over_bound_structure_is_not_cached():
+    """A refused build caches nothing: asking again refuses again."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="1488000 elements"):
+            gl_group(5, 3).coset_reps(FULL)
+        with pytest.raises(ValueError, match="1610510 elements"):
+            gl_group(11, 3).bessel_support()
+
+
+def test_gl_group_is_one_object_per_group():
+    assert gl_group(3, 2) is gl_group(q=3, r=2) is gl_group(3, r=2)
+    assert gl_group(3, 2) is not gl_group(3, 3)
+    assert gl_group(4, 2).field is gl_group(4, 1).field
 
 
 def test_coset_reps_bound_exits_2(capsys):
