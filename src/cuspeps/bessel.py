@@ -21,13 +21,14 @@ monomials n.  A new J(g) row-reduces g = u1 n u2 (:meth:`GLGroup.bruhat_cell`,
 O(r^3) field operations that also add up s, the sum of the superdiagonals of
 u1 and u2) and returns psi(s) J(n).  J(n) is the sum over U above, taken once
 per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
-equivariance checks), and psi(s) J(n) is cached per (n, psi(s)).  A zero J(n)
-or s = 0 returns J(n) itself, which is also the value and the printed order
-of the sum over U at g.  So a full table over GL_r costs |G| row reductions
-plus r! (q-1)^r * |U| class lookups.  Values are cached per group element,
-the character per class.  psi_U(u) is kept as an exponent (order, k), and
-each sum over U, Hankel sum and entry of an operator product is one call of
-:func:`cuspeps.cyclo.dot`, reduced modulo Phi_m once.
+equivariance checks).  A zero J(n) or s = 0 returns J(n) itself, which is
+also the value and the printed order of the sum over U at g.  So a full
+table over GL_r costs |G| row reductions plus r! (q-1)^r * |U| class
+lookups.  Values are cached per group element in one dict, J(n) under the
+monomial n itself (its Bruhat cell is (n, 0)); the character per class.
+psi_U(u) is kept as an exponent (order, k), and each sum over U, Hankel sum
+and entry of an operator product is one call of :func:`cuspeps.cyclo.dot`,
+reduced modulo Phi_m once.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
 class BesselEvaluator:
     """Memoized Bessel function of (sigma, psi), evaluated by Bruhat cell."""
 
-    __slots__ = ("sigma", "psi", "_terms", "_norm", "_cache", "_cells")
+    __slots__ = ("sigma", "psi", "_terms", "_norm", "_cache")
 
     def __init__(self, sigma: CuspidalRep, psi: AdditiveChar):
         if psi.field is not sigma.group.field:
@@ -72,8 +73,6 @@ class BesselEvaluator:
         self._terms = tuple((group.psi_u_root(v, conj), v) for v in group.elements(UNIPOTENT))
         self._norm = Fraction(1, len(self._terms))
         self._cache: dict[Mat, CycloNumber] = {}
-        # (monomial n, psi(s) as (order, exponent)) -> psi(s) J(n)
-        self._cells: dict[tuple[Mat, tuple[int, int]], CycloNumber] = {}
 
     def direct(self, g: Mat) -> CycloNumber:
         """J(g) by the defining sum over U, uncached: the formula for monomials
@@ -82,20 +81,16 @@ class BesselEvaluator:
         return dot((w, char_at(g * v), None) for w, v in self._terms).scale(self._norm)
 
     def __call__(self, g: Mat) -> CycloNumber:
-        cached = self._cache.get(g)
-        if cached is not None:
-            return cached
-        n, s = self.sigma.group.bruhat_cell(g)
-        root = self.psi.root(s)
-        value = self._cells.get((n, root))
+        cache = self._cache
+        value = cache.get(g)
         if value is None:
-            jn = self._cells.get((n, UNIT))
+            n, s = self.sigma.group.bruhat_cell(g)
+            jn = cache.get(n)
             if jn is None:
-                jn = self._cells[n, UNIT] = self.direct(n)
+                jn = cache[n] = self.direct(n)
+            root = self.psi.root(s)
             # A zero J(n), or s = 0, keeps the order that the direct sum prints.
-            value = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)
-            self._cells[n, root] = value
-        self._cache[g] = value
+            value = cache[g] = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)
         return value
 
 
@@ -112,8 +107,7 @@ def _evaluator(group: GLGroup, exponent: int, field: FieldSpec, a: int) -> Besse
 
 def bessel_value(sigma: CuspidalRep, psi: AdditiveChar, g: Mat) -> CycloNumber:
     """J(g), exact."""
-    if g.field is not sigma.group.field or g.r != sigma.group.r:
-        raise ValueError("matrix does not match the representation's group")
+    sigma.group.check_matrix(g)
     return get_evaluator(sigma, psi)(g)
 
 

@@ -350,10 +350,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # the CLI never prints a traceback

@@ -169,7 +169,9 @@ def induced_psi_character(
     """Character of Ind_U^M(psi_U) at g, by the coset sum over M/U.
 
     The value depends on no cuspidal, so each sum runs once per (group, kind,
-    psi, g), kept in the dict of :func:`_induced_values`."""
+    psi, g), kept in the dict of :func:`_induced_values`.  A matrix of another
+    group raises ValueError."""
+    group.check_matrix(g)
     values = _induced_values(group, kind, psi)
     acc = values.get(g)
     if acc is None:

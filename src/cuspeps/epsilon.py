@@ -560,8 +560,9 @@ def whittaker_eval(
     """Whittaker value at u * (uniformizer)^z * k, with k reducing to gbar.
 
     Equals psi_U(u) * t^z * J(gbar); on the mirabolic the support is exactly
-    the unipotent subgroup."""
+    the unipotent subgroup.  A matrix of another group raises ValueError."""
     group = tau.group
     _psi_check(group, psi)
+    group.check_matrix(gbar)
     value = group.psi_u(u, psi) * (tau.t**z).value()
     return value * get_evaluator(tau.sigma, psi)(gbar)

@@ -76,14 +76,13 @@ SINGER = "singer"
 
 
 class Mat:
-    """A square matrix over a fixed GF(q), entries as field logs; hashed once, when built."""
+    """A square matrix over a fixed GF(q), entries as field logs; hashed by its rows."""
 
-    __slots__ = ("field", "rows", "_hash")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: FieldSpec, rows):
         self.field = field
-        self.rows = rows = tuple(tuple(row) for row in rows)
-        self._hash = hash((field.p, field.k, rows))
+        self.rows = tuple(tuple(row) for row in rows)
 
     @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
@@ -99,8 +98,7 @@ class Mat:
         rows = self.rows
         out = object.__new__(Mat)
         out.field = F
-        out.rows = rows = _product(len(rows))(*F.tables(), rows, other.rows)
-        out._hash = hash((F.p, F.k, rows))
+        out.rows = _product(len(rows))(*F.tables(), rows, other.rows)
         return out
 
     def det(self) -> int:
@@ -129,7 +127,7 @@ class Mat:
         return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rows)
 
     def serialize(self) -> list[list[str]]:
         return [[FieldSpec.format_element(e) for e in row] for row in self.rows]
@@ -306,9 +304,6 @@ def conjugate_partition(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, max(parts) + 1))
 
 
-_partition = functools.cache(conjugate_partition)  # Jordan types, once per nullity sequence
-
-
 def _partitions(n: int, largest: int = 0):
     """Every partition of n, as a descending tuple."""
     if n == 0:
@@ -374,6 +369,11 @@ class GLGroup:
                 f"subgroup {kind} of GL_{self.r}(F_{self.q}) has "
                 f"{size} elements, over the bound {ELEMENT_BOUND}"
             )
+
+    def check_matrix(self, m: Mat):
+        """Refuse (ValueError) a matrix of another group: another field object or another size."""
+        if m.field is not self.field or len(m.rows) != self.r:
+            raise ValueError(f"matrix is not in GL_{self.r}(F_{self.q})")
 
     # -- enumeration -----------------------------------------------------
 
@@ -449,7 +449,6 @@ class GLGroup:
 
     # -- Singer torus ----------------------------------------------------
 
-    @functools.cache
     def ext_field(self, d: int) -> FieldSpec:
         if self.r % d:
             raise ValueError(f"{d} does not divide r={self.r}")
@@ -607,7 +606,8 @@ class GLGroup:
     def class_key(self, g: Mat) -> ClassKey:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
         key = self._key_cache.get(g)
-        if key is None:
+        if key is None:  # a matrix of another group equals no cached one
+            self.check_matrix(g)
             cp = self.charpoly(g)
             if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
                 raise ValueError("matrix is singular")
@@ -648,7 +648,7 @@ class GLGroup:
         nullity of (g - x)^j is that of f(g)^j over GF(q) divided by d.  Step
         j counts the blocks of size at least j.  Once at most one block is
         undecided (a step of at most one block, or at most one unit of r/d
-        left), it takes the rest; each nullity sequence is looked up once."""
+        left), it takes the rest."""
         ext, r, n = self.ext_field(d), self.r, self.r // d
         embed = self._embedded_logs(d) if d > 1 else ()
         gx = power = [[embed[v] for v in row] if embed else list(row) for row in rows]
@@ -660,7 +660,7 @@ class GLGroup:
             step = r - _rank(ext, list(power)) - seen
             steps, seen = steps + (step,), seen + step
             if step <= 1 or n - seen <= 1:
-                return _partition(steps + (1,) * (n - seen))
+                return conjugate_partition(steps + (1,) * (n - seen))
             power = _product(r)(*tables, power, gx)
 
     @functools.cache

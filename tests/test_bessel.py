@@ -61,6 +61,24 @@ def test_field_mismatch_rejected():
         get_evaluator(cusps[0], AdditiveChar(group.field, ZERO))
 
 
+def test_bessel_values_cache_one_direct_sum_per_monomial(monkeypatch):
+    """A table over GL_3(F_2) runs the sum over U once per monomial that a
+    Bruhat cell reaches, and a second table none; J(n) is kept as direct(n)."""
+    group, psi, cusps = _setup(2, 3)
+    ev = BesselEvaluator(cusps[0], psi)
+    direct, calls = BesselEvaluator.direct, []
+    monkeypatch.setattr(BesselEvaluator, "direct", lambda self, g: calls.append(g) or direct(self, g))
+    first = {g: ev(g) for g in group.iterate(FULL)}
+    monomials = {group.bruhat_cell(g)[0] for g in group.iterate(FULL)}
+    assert len(monomials) == 6 and len(calls) == 6 and set(calls) == monomials
+    calls.clear()
+    assert {g: ev(g) for g in group.iterate(FULL)} == first
+    assert calls == []
+    for n in monomials:
+        value = direct(ev, n)
+        assert first[n] == value and first[n].m == value.m
+
+
 def test_get_evaluator_is_one_per_pair():
     """Equal cuspidals from separate listings share one evaluator; another shift gets its own."""
     group, psi, cusps = _setup(3, 2)

@@ -273,21 +273,58 @@ def test_streamed_json_is_one_dumps_of_the_list(items):
     assert buf.getvalue() == json.dumps(items, sort_keys=True, indent=1) + "\n"
 
 
+def _exit_contract(argv):
+    """Any small argv answers (exit 0) or is refused (exit 2, no stdout); never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+    assert (out.getvalue() == "") == (code == 2)
+
+
+SMALL_Q = st.sampled_from([-3, 0, 1, 2, 3, 4, 6, 9])
+SMALL_R = st.integers(-1, 2)
+FORMATS = st.sampled_from(["json", "csv"])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     st.sampled_from([-3, 0, 1, 2, 3, 4, 6, 7, 9, 16, 27, 1024]),
     st.integers(-1, 5),
-    st.sampled_from(["json", "csv"]),
+    FORMATS,
     st.integers(-2, 3),
 )
 def test_cuspidals_exit_contract(q, r, fmt, a):
-    """Any small argv answers (exit 0) or is refused (exit 2, no stdout); never a traceback."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["cuspidals", "--q", str(q), "--r", str(r), "--format", fmt, "--a", str(a)])
-    assert code in (0, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
-    assert (out.getvalue() == "") == (code == 2)
+    _exit_contract(["cuspidals", "--q", str(q), "--r", str(r), "--format", fmt, "--a", str(a)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(SMALL_Q, SMALL_R, FORMATS)
+@example(3, 2, "csv")
+def test_field_exit_contract(p, k, fmt):
+    _exit_contract(["field", "--p", str(p), "--k", str(k), "--format", fmt])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(SMALL_Q, SMALL_R, st.integers(-2, 9), st.sampled_from(["full", "mirabolic", "u"]), st.integers(-2, 3), FORMATS)
+@example(3, 2, 1, "full", 1, "json")
+@example(2, 2, 1, "u", 0, "csv")
+def test_bessel_exit_contract(q, r, theta, domain, a, fmt):
+    _exit_contract(["bessel", "--q", str(q), "--r", str(r), "--theta", str(theta), "--domain", domain,
+                    "--a", str(a), "--format", fmt])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(SMALL_Q, SMALL_R, st.integers(-2, 9), st.integers(-2, 9),
+       st.one_of(st.builds("{}/{}".format, st.integers(-3, 9), st.integers(1, 12)),
+                 st.sampled_from(["1", "1/0", "x", "3/1001", "", "0/0", "1/-2"])),
+       st.integers(-2, 3))
+@example(3, 2, 1, 2, "1/4", 1)
+@example(4, 1, 1, 0, "3/8", 0)
+def test_epsilon_exit_contract(q, r, theta1, theta2, t1, a):
+    _exit_contract(["epsilon", "--q", str(q), "--r", str(r), "--theta1", str(theta1), "--theta2", str(theta2),
+                    "--t1", t1, "--a", str(a)])
 
 
 def test_output_file(capsys, tmp_path):

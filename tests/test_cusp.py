@@ -182,6 +182,14 @@ def test_induced_character_is_computed_once_per_group_kind_psi(monkeypatch):
     assert products == []
 
 
+def test_induced_psi_character_refuses_a_matrix_of_another_group():
+    group = gl_group(3, 2)
+    psi = AdditiveChar(group.field, 0)
+    for m in (gl_group(4, 2).elements(FULL)[5], gl_group(3, 3).identity()):
+        with pytest.raises(ValueError, match="not in GL_2"):
+            induced_psi_character(group, MIRABOLIC, psi, m)
+
+
 def test_induced_psi_checks_each_conjugate_once(monkeypatch):
     """One unipotent test per coset: psi_u_root trusts the filter before it."""
     group = GLGroup(build_field(2, 1), 3)

@@ -427,6 +427,15 @@ def test_whittaker_values():
     assert whittaker_eval(tau, psi, ident, -2, ident) == (t ** -2).value()
 
 
+def test_whittaker_eval_refuses_a_matrix_of_another_group():
+    group, psi, cusps = _setup(3, 2)
+    tau = LevelZeroRep(cusps[0])
+    ident = group.identity()
+    for m in (gl_group(4, 2).elements(FULL)[5], gl_group(3, 3).identity()):
+        with pytest.raises(ValueError, match="not in GL_2"):
+            whittaker_eval(tau, psi, ident, 0, m)
+
+
 def test_whittaker_mirabolic_support():
     group, psi, cusps = _setup(3, 2)
     tau = LevelZeroRep(cusps[0])

@@ -106,6 +106,39 @@ def test_class_keys_examples():
         g23.class_key(Mat.from_ints(F, [[1, 1], [1, 1]]))
 
 
+def test_class_key_refuses_a_matrix_of_another_group():
+    m = gl_group(4, 2).elements(FULL)[5]  # another field
+    with pytest.raises(ValueError, match="not in GL_2"):
+        gl_group(3, 2).class_key(m)
+    assert gl_group(4, 2).class_key(m) == ClassKey(2, 1, (1,))
+    with pytest.raises(ValueError, match="not in GL_2"):  # the same field, another size
+        gl_group(2, 2).class_key(gl_group(2, 3).identity())
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_equal_matrices_hash_equal_whatever_built_them(q, r):
+    """Mat(...), Mat.from_ints, a product, the enumeration and singer_matrix
+    give equal matrices that hash equal and find each other as dict keys."""
+    group = gl_group(q, r)
+    F = group.field
+    to_int = {F.from_int(c): c for c in range(F.p)}  # q is prime here
+    full = {g: g for g in group.iterate(FULL)}
+    for e in range(q**r - 1):
+        g = group.singer_matrix(e)
+        built = [
+            g,
+            Mat(F, [list(row) for row in g.rows]),
+            Mat.from_ints(F, [[to_int[x] for x in row] for row in g.rows]),
+            group.singer_matrix(e - 1) * group.singer_matrix(1),
+            group.identity() * g,
+            full[g],
+        ]
+        assert full[g] is not g
+        for a in built:
+            assert a == g and hash(a) == hash(g)
+            assert {a: e}[g] == e and {g: e}[a] == e
+
+
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (2, 3)])
 def test_class_key_is_class_function(q, r):
     group = gl_group(q, r)
