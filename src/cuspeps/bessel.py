@@ -24,8 +24,9 @@ per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
 equivariance checks).  A zero J(n) or s = 0 returns J(n) itself, which is
 also the value and the printed order of the sum over U at g.  So a full
 table over GL_r costs |G| row reductions plus r! (q-1)^r * |U| class
-lookups.  Values are cached per group element in one dict, J(n) under the
-monomial n itself (its Bruhat cell is (n, 0)); the character per class.
+lookups.  Values are cached per group element in one dict keyed by the
+element's rows, J(n) under the rows of the monomial n itself (its Bruhat
+cell is (n, 0)); the character per class.
 psi_U(u) is kept as an exponent (order, k), and each sum over U, Hankel sum
 and entry of an operator product is one call of :func:`cuspeps.cyclo.dot`,
 reduced modulo Phi_m once.
@@ -72,7 +73,7 @@ class BesselEvaluator:
         # the sum over v = u^-1 in U: psi_U(u) = psi_U(v^-1) = conj psi_U(v)
         self._terms = tuple((group.psi_u_root(v, conj), v) for v in group.elements(UNIPOTENT))
         self._norm = Fraction(1, len(self._terms))
-        self._cache: dict[Mat, CycloNumber] = {}
+        self._cache: dict[tuple, CycloNumber] = {}
 
     def direct(self, g: Mat) -> CycloNumber:
         """J(g) by the defining sum over U, uncached: the formula for monomials
@@ -81,16 +82,16 @@ class BesselEvaluator:
         return dot((w, char_at(g * v), None) for w, v in self._terms).scale(self._norm)
 
     def __call__(self, g: Mat) -> CycloNumber:
-        cache = self._cache
-        value = cache.get(g)
+        cache, rows = self._cache, g.rows  # keyed by rows, which hash in C
+        value = cache.get(rows)
         if value is None:
             n, s = self.sigma.group.bruhat_cell(g)
-            jn = cache.get(n)
+            jn = cache.get(n.rows)
             if jn is None:
-                jn = cache[n] = self.direct(n)
+                jn = cache[n.rows] = self.direct(n)
             root = self.psi.root(s)
             # A zero J(n), or s = 0, keeps the order that the direct sum prints.
-            value = cache[g] = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)
+            value = cache[rows] = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)
         return value
 
 

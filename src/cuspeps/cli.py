@@ -333,7 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_roots(argv: list[str]) -> list[str]:
+    """Join ``--name -j/m`` into ``--name=-j/m``.
+
+    argparse reads a value such as -1/3 as an option of its own.  The joined
+    form parses the same for every option that takes a value, abbreviated or
+    not, and a flag refuses it as it refuses the split one."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev[:2] == "--" and len(prev) > 2 and "=" not in prev and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_roots(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -260,7 +260,7 @@ class CycloNumber:
         return out
 
     def scale(self, c) -> "CycloNumber":
-        c = Fraction(c)
+        # c is an int or a Fraction; both carry numerator and denominator.
         n = c.numerator
         return _make(self.m, *_lowest([x * n for x in self.num], self.den * c.denominator))
 
@@ -344,10 +344,10 @@ def dot(terms, conjugate: bool = False) -> CycloNumber:
     Equals, value and order, the left fold of ``*``, ``conjugate()`` and
     ``+`` from ``zero()`` that skips terms with a zero factor.  The terms are
     read once, as a stream: the work list holds exponent counts 0..2*order-1
-    over the common denominator ``den`` and is respread when a term raises the
-    order, rescaled when it raises the denominator."""
-    order = den = 1
-    work = [0, 0]
+    over the common denominator ``den``.  The first term with no zero factor
+    sets the order and ``den``; a later term that raises the order respreads
+    the list, one that raises the denominator rescales it."""
+    work = None
     for (n, k), a, b in terms:
         anum = a.num
         if not any(anum):
@@ -359,16 +359,19 @@ def dot(terms, conjugate: bool = False) -> CycloNumber:
         else:
             continue
         ma = a.m
-        if order % n or order % ma or order % mb:
-            new = lcm(order, n, ma, mb)
-            spread = [0] * (2 * new)
-            spread[:new:new // order] = map(add, work[:order], work[order:])
-            work, order = spread, new
-        if den % d:
-            new = lcm(den, d)
-            if any(work):
+        if work is None:
+            order, den = lcm(n, ma, mb), d
+            work = [0] * (2 * order)
+        else:
+            if order % n or order % ma or order % mb:
+                new = lcm(order, n, ma, mb)
+                spread = [0] * (2 * new)
+                spread[:new:new // order] = map(add, work[:order], work[order:])
+                work, order = spread, new
+            if den % d:
+                new = lcm(den, d)
                 work = [x * (new // den) for x in work]
-            den = new
+                den = new
         f = den // d
         sa, shift = order // ma, k * (order // n)
         if b is None:
@@ -381,6 +384,8 @@ def dot(terms, conjugate: bool = False) -> CycloNumber:
                 base = (i * sa + shift) % order
                 for j, cb in bt:
                     work[base + j] += c * cb
+    if work is None:  # every term has a zero factor
+        return _make(1, (0,), 1)
     num = _mod_phi(order, list(map(add, work[:order], work[order:])))
     return _make(order, *_lowest(num, den))
 

@@ -328,8 +328,8 @@ class GLGroup:
 
     Instances are shared through :func:`gl_group`.  What is built once per
     group is memoized by ``functools.cache`` on its method; the class key of
-    each element is kept in the dict ``_key_cache``.  All public methods are
-    pure; the caches are append-only.
+    each element is kept in the dict ``_key_cache`` under the element's rows.
+    All public methods are pure; the caches are append-only.
     """
 
     def __init__(self, field: FieldSpec, r: int):
@@ -339,7 +339,7 @@ class GLGroup:
         self.r = r
         self.q = field.q
         self.big_field = build_field(field.p, field.k * r)
-        self._key_cache: dict[Mat, ClassKey] = {}
+        self._key_cache: dict[tuple, ClassKey] = {}
 
     # -- sizes ---------------------------------------------------------
 
@@ -605,13 +605,15 @@ class GLGroup:
 
     def class_key(self, g: Mat) -> ClassKey:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
-        key = self._key_cache.get(g)
-        if key is None:  # a matrix of another group equals no cached one
+        rows = g.rows
+        # keyed by rows, which hash in C; rows over another field may equal a cached key
+        key = self._key_cache.get(rows) if g.field is self.field else None
+        if key is None:  # rows of another size equal no cached key
             self.check_matrix(g)
             cp = self.charpoly(g)
             if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
                 raise ValueError("matrix is singular")
-            key = self._key_cache[g] = self._key_of(cp, g.rows)
+            key = self._key_cache[rows] = self._key_of(cp, rows)
         return key
 
     @functools.cache

@@ -79,6 +79,25 @@ def test_bessel_values_cache_one_direct_sum_per_monomial(monkeypatch):
         assert first[n] == value and first[n].m == value.m
 
 
+def test_memo_hits_hash_no_matrix(monkeypatch):
+    """A repeated class key or J value is found by the element's rows, which
+    hash in C, without Mat.__hash__ or Mat.__eq__."""
+    group, psi, cusps = _setup(3, 2)
+    ev = BesselEvaluator(cusps[0], psi)
+    elems = group.elements(FULL)[::7]
+    keys = [group.class_key(g) for g in elems]
+    values = [ev(g) for g in elems]
+
+    def refuse(*args):
+        raise AssertionError("a memo lookup hashed or compared a Mat")
+
+    monkeypatch.setattr(Mat, "__hash__", refuse)
+    monkeypatch.setattr(Mat, "__eq__", refuse)
+    assert [group.class_key(g) for g in elems] == keys
+    again = [ev(g) for g in elems]
+    assert all(x == y and x.m == y.m for x, y in zip(again, values))
+
+
 def test_get_evaluator_is_one_per_pair():
     """Equal cuspidals from separate listings share one evaluator; another shift gets its own."""
     group, psi, cusps = _setup(3, 2)

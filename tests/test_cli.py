@@ -273,12 +273,17 @@ def test_streamed_json_is_one_dumps_of_the_list(items):
     assert buf.getvalue() == json.dumps(items, sort_keys=True, indent=1) + "\n"
 
 
-def _exit_contract(argv):
-    """Any small argv answers (exit 0) or is refused (exit 2, no stdout); never a traceback."""
+def _exit_contract(argv, stdin="", codes=(0, 2)):
+    """Any small argv answers (exit 0, or 1 for a failed check where ``codes``
+    allows it) or is refused (exit 2, no stdout); never a traceback."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2), err.getvalue()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
     assert (out.getvalue() == "") == (code == 2)
 
@@ -325,6 +330,71 @@ def test_bessel_exit_contract(q, r, theta, domain, a, fmt):
 def test_epsilon_exit_contract(q, r, theta1, theta2, t1, a):
     _exit_contract(["epsilon", "--q", str(q), "--r", str(r), "--theta1", str(theta1), "--theta2", str(theta2),
                     "--t1", t1, "--a", str(a)])
+
+
+ROOTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-5, 9), st.integers(1, 12)),
+    st.sampled_from(["1", "-1", "1/0", "x", "3/1001", "", "-1/997", "1/-2"]),
+)
+TAME_DOCS = st.sampled_from([
+    UNIT_EPS,
+    {"coeff": {"m": 12, "coeffs": ["0", "2", "0", "-1"]}, "half_exp": -2, "qbase": 3, "s_coeff": "1"},
+    dict(UNIT_EPS, qbase=4),
+    dict(UNIT_EPS, qbase=16, half_exp=-1),
+    dict(UNIT_EPS, qbase=1),
+    dict(UNIT_EPS, coeff={"m": 10**11, "coeffs": ["1"]}),
+    dict(UNIT_EPS, s_coeff="x"),
+    None,
+])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(-2, 3), st.sampled_from([1, 2, 4, 0, -1]), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 0]),
+       ROOTS, ROOTS, ROOTS, TAME_DOCS)
+@example(1, 2, 2, 1, "-1/4", "1", "1", UNIT_EPS)
+@example(0, 4, 2, 2, "-1/3", "2/5", "-1", UNIT_EPS)
+def test_transfer_exit_contract(vnu, N, e, r, w1, w2, zeta, doc):
+    _exit_contract(["transfer", "--vnu", str(vnu), "--N", str(N), "--e", str(e), "--r", str(r),
+                    "--w1", w1, "--w2", w2, "--zeta", zeta], stdin=json.dumps(doc))
+
+
+# Every suite but "field" and "all" (about 14 s each), on groups small enough
+# that a (q, r) outside a suite's list stays cheap to run.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["cyclo", "glq", "cusp", "bessel", "realization", "vanishing", "epsilon", "transfer",
+                        "", "nope", "ALL", "field2"]),
+       st.sampled_from([None, -1, 0, 1, 2, 3, 4, 6]), st.sampled_from([None, -1, 0, 1, 2]),
+       st.sampled_from([None, -1, 0, 7]))
+@example("bessel", 3, 2, None)
+def test_verify_exit_contract(suite, q, r, seed):
+    argv = ["verify", "--suite", suite]
+    for name, value in (("--q", q), ("--r", r), ("--seed", seed)):
+        if value is not None:
+            argv += [name, str(value)]
+    _exit_contract(argv, codes=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, negative",
+    [
+        (["epsilon", "--q", "3", "--r", "1", "--theta1", "1", "--theta2", "0"], ["--t1", "-1/3"]),
+        (["epsilon", "--q", "3", "--r", "2", "--theta1", "1", "--theta2", "2"], ["--t2", "-2/5"]),
+        (["transfer", "--vnu", "1", "--N", "2", "--e", "2", "--r", "1", "--zeta", "1"], ["--w1", "-1/4"]),
+        (["transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1"], ["--w2", "-1/6", "--zeta", "-3/4"]),
+        (["transfer", "--vnu", "1", "--N", "2", "--e", "2", "--r", "1"], ["--ze", "-1/3"]),
+    ],
+)
+def test_negative_root_in_either_spelling(capsys, monkeypatch, argv, negative):
+    """--t1 -1/3 reads as --t1=-1/3, although argparse takes -1/3 for an
+    option; so does an abbreviation such as --ze -1/3."""
+    joined = [f"{opt}={value}" for opt, value in zip(negative[::2], negative[1::2])]
+    outputs = []
+    for tail in (negative, joined):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(UNIT_EPS)))
+        code, out, err = run_cli(capsys, *argv, *tail)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_output_file(capsys, tmp_path):

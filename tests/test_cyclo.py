@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspeps import cyclo
 from cuspeps.cyclo import UNIT, CycloNumber, _mod_phi, cyclotomic_polynomial, dot, one, root_of_unity, zero
 from cuspeps.ffield import ZERO, AdditiveChar, build_field
 
@@ -134,6 +135,28 @@ def test_chained_mod_phi_matches_long_division(m):
         work = [rng.randrange(-99, 100) if rng.random() < density else 0 for _ in range(rng.randrange(1, 2 * m + 1))]
         assert _mod_phi(m, list(work)) == _long_division(m, work)
     assert _mod_phi(m, [0] * (2 * m - 1) + [1]) == _long_division(m, [0] * (m - 1) + [1])  # x^(2m-1) = x^(m-1)
+
+
+def test_root_of_unity_matches_long_division():
+    """zeta_m^j is the remainder of x^(j mod m)."""
+    for m in range(1, 65):
+        for j in range(-m, 2 * m):
+            unit = [0] * (j % m) + [1]
+            z = root_of_unity(m, j)
+            assert (z.m, z.den) == (m, 1)
+            assert z.num == _mod_phi(m, list(unit)) == _long_division(m, unit)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2, -6, 35, 10**20, -(10**20) + 1])
+def test_scale_by_int_matches_fraction(monkeypatch, c):
+    """scale(c) for an int c equals scale(Fraction(c)), and builds no Fraction."""
+    rng = random.Random(c % 1009)
+    values = [_random_value(rng) for _ in range(20)] + [root_of_unity(6, 1).scale(Fraction(1, 6)), zero()]
+    expected = [a.scale(Fraction(c)) for a in values]
+    monkeypatch.setattr(cyclo, "Fraction", None)
+    for a, want in zip(values, expected):
+        got = a.scale(c)
+        assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
 
 
 def test_eq_fast_paths():

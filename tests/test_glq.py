@@ -115,6 +115,17 @@ def test_class_key_refuses_a_matrix_of_another_group():
         gl_group(2, 2).class_key(gl_group(2, 3).identity())
 
 
+def test_class_key_refuses_cached_rows_over_another_field():
+    """The memo is keyed by rows: rows cached for GL_2(F_3) still name no
+    element of GL_2(F_3) when they come with the field F_4."""
+    group = gl_group(3, 2)
+    e = group.elements(FULL)[5]
+    key = group.class_key(e)
+    with pytest.raises(ValueError, match="not in GL_2"):
+        group.class_key(Mat(gl_group(4, 2).field, e.rows))
+    assert group.class_key(e) == key
+
+
 @pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
 def test_equal_matrices_hash_equal_whatever_built_them(q, r):
     """Mat(...), Mat.from_ints, a product, the enumeration and singer_matrix
