@@ -24,9 +24,9 @@ per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
 equivariance checks).  A zero J(n) or s = 0 returns J(n) itself, which is
 also the value and the printed order of the sum over U at g.  So a full
 table over GL_r costs |G| row reductions plus r! (q-1)^r * |U| class
-lookups.  Values are cached per group element in one dict keyed by the
-element's rows, J(n) under the rows of the monomial n itself (its Bruhat
-cell is (n, 0)); the character per class.
+lookups.  J takes an element's rows, the key of its one memo dict (J(n) is
+kept under the rows of n, whose Bruhat cell is (n, 0)), so L(g) and the
+Hankel and pair sums multiply bare rows with :func:`cuspeps.glq.row_product`.
 psi_U(u) is kept as an exponent (order, k), and each sum over U, Hankel sum
 and entry of an operator product is one call of :func:`cuspeps.cyclo.dot`,
 reduced modulo Phi_m once.
@@ -41,7 +41,7 @@ from ._frozen import Frozen, set_field
 from .cyclo import UNIT, CycloNumber, dot, root_of_unity, zero
 from .cusp import CuspidalRep, contragredient
 from .ffield import AdditiveChar, FieldSpec
-from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat
+from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat, row_product
 
 __all__ = [
     "BesselEvaluator",
@@ -81,11 +81,11 @@ class BesselEvaluator:
         char_at = self.sigma.char_at
         return dot((w, char_at(g * v), None) for w, v in self._terms).scale(self._norm)
 
-    def __call__(self, g: Mat) -> CycloNumber:
-        cache, rows = self._cache, g.rows  # keyed by rows, which hash in C
+    def __call__(self, rows: tuple) -> CycloNumber:
+        cache = self._cache  # keyed by rows, which hash in C; rows of another group are not refused
         value = cache.get(rows)
         if value is None:
-            n, s = self.sigma.group.bruhat_cell(g)
+            n, s = self.sigma.group.bruhat_cell(Mat(self.psi.field, rows))
             jn = cache.get(n.rows)
             if jn is None:
                 jn = cache[n.rows] = self.direct(n)
@@ -109,7 +109,7 @@ def _evaluator(group: GLGroup, exponent: int, field: FieldSpec, a: int) -> Besse
 def bessel_value(sigma: CuspidalRep, psi: AdditiveChar, g: Mat) -> CycloNumber:
     """J(g), exact."""
     sigma.group.check_matrix(g)
-    return get_evaluator(sigma, psi)(g)
+    return get_evaluator(sigma, psi)(g.rows)
 
 
 class BesselTable(Frozen):
@@ -132,7 +132,7 @@ class BesselTable(Frozen):
 def build_table(sigma: CuspidalRep, psi: AdditiveChar, domain: str) -> BesselTable:
     """Tabulate J over a whole subgroup (bound-checked by the enumerator)."""
     ev = get_evaluator(sigma, psi)
-    values = {g: ev(g) for g in sigma.group.iterate(domain)}
+    values = {g: ev(g.rows) for g in sigma.group.iterate(domain)}
     return BesselTable(sigma, psi, domain, values)
 
 
@@ -141,21 +141,21 @@ def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
     if kind not in (MIRABOLIC, STABILIZER):
         raise ValueError("the model space lives on the mirabolic or the stabilizer")
     group = sigma.group
-    ev = get_evaluator(sigma, psi)
-    inverses = group.coset_rep_inverses(kind)
-    return tuple(
-        tuple(ev(cig * cj_inv) for cj_inv in inverses) for cig in (ci * g for ci in group.coset_reps(kind))
-    )
+    group.check_matrix(g)
+    ev, prod = get_evaluator(sigma, psi), row_product(group.field, group.r)
+    inverses = [c.rows for c in group.coset_rep_inverses(kind)]
+    cigs = (prod(ci.rows, g.rows) for ci in group.coset_reps(kind))
+    return tuple(tuple(ev(prod(cig, cj_inv)) for cj_inv in inverses) for cig in cigs)
 
 
-def hankel_check(
-    sigma: CuspidalRep, psi: AdditiveChar, g1: Mat, g2: Mat, kind: str
-) -> bool:
+def hankel_check(sigma: CuspidalRep, psi: AdditiveChar, g1: Mat, g2: Mat, kind: str) -> bool:
     """sum_{m in M/U} J(g1 m) J(m^-1 g2) == J(g1 g2), exactly."""
-    ev = get_evaluator(sigma, psi)
     group = sigma.group
+    group.check_matrix(g1)
+    group.check_matrix(g2)
+    ev, prod, a, b = get_evaluator(sigma, psi), row_product(group.field, group.r), g1.rows, g2.rows
     reps = zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
-    return dot((UNIT, ev(g1 * c_inv), ev(c * g2)) for c, c_inv in reps) == ev(g1 * g2)
+    return dot((UNIT, ev(prod(a, c_inv.rows)), ev(prod(c.rows, b))) for c, c_inv in reps) == ev(prod(a, b))
 
 
 def contragredient_table(table: BesselTable) -> BesselTable:
@@ -176,14 +176,12 @@ def contragredient_table(table: BesselTable) -> BesselTable:
 
 def mat_mul(a, b):
     """Product of square matrices of cyclotomic numbers, skipping zero factors."""
-    cols = list(zip(*b))
-    return tuple(
-        tuple(dot((UNIT, x, y) for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    cols, units = list(zip(*b)), (UNIT,) * len(b)
+    return tuple(tuple(dot(zip(units, row, col, strict=True)) for col in cols) for row in a)
 
 
 def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all(x == y for ra, rb in zip(a, b, strict=True) for x, y in zip(ra, rb, strict=True))
 
 
 def mat_trace(a):

@@ -14,11 +14,14 @@ touching only nonzero coefficients, by a chain of multiples of Phi_m of
 falling degree: Phi_{p_1...p_j}(x^(m/(p_1...p_j))) for the primes of m in
 ascending order, ending with Phi_m.  The early links are sparse (x^(m/2) + 1
 for even m, then x^(m/3) - x^(m/6) + 1 if 6 | m, ...), so the dense Phi_m
-divides only the last few rows.  Nothing per order is kept beyond that
-chain, so memory stays O(m) even for the large orders a user-chosen root of
-unity can bring in.  :class:`fractions.Fraction` appears only where
-rationals enter or leave: constructors, ``scale``, ``rational_value``,
-``to_dict``/``from_dict``, ``embed`` and ``repr``.
+divides only the last few rows.  Counts that reach past zeta^(m-1) (every
+sum of :func:`dot`, a product whose exponents add up past it) are first
+put in a list of 2m and folded once, by :func:`_fold`: zeta^m = 1 and the
+first link, zeta^(m/2) = -1, in one pass over slices.  Nothing per order is
+kept beyond that chain, so memory stays O(m) even for the large orders a
+user-chosen root of unity can bring in.  :class:`fractions.Fraction` appears
+only where rationals enter or leave: constructors, ``scale``,
+``rational_value``, ``to_dict``/``from_dict``, ``embed`` and ``repr``.
 
 The character sums of the library, sum_i zeta_n^k * a_i * b_i, go through one
 kernel, :func:`dot`: the root of unity is an exponent shift, conjugating b_i
@@ -37,7 +40,7 @@ import cmath
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 __all__ = [
     "CycloNumber",
@@ -126,6 +129,15 @@ def _mod_phi(m: int, work: list[int]) -> tuple[int, ...]:
     if len(work) < d:
         work.extend([0] * (d - len(work)))
     return tuple(work)
+
+
+def _fold(m: int, work: list[int]) -> list[int]:
+    """Exponent counts 0..2m-1 folded by zeta^m = 1 and, for even m, by zeta^(m/2) = -1
+    (link 1 of :func:`_phi_chain`, so the remainder modulo Phi_m is kept), in one pass over slices."""
+    if m % 2:
+        return list(map(add, work[:m], work[m:]))
+    h = m // 2
+    return list(map(sub, map(add, work[:h], work[m:m + h]), map(add, work[h:m], work[m + h:])))
 
 
 def _make(m: int, num: tuple[int, ...], den: int) -> "CycloNumber":
@@ -232,17 +244,16 @@ class CycloNumber:
         sa, sb = order // self.m, order // other.m
         terms_b = [(j * sb, c) for j, c in enumerate(other.num) if c]
         # Exponent counts: zeta^(i*sa) * zeta^(j*sb), both below order, so
-        # every index is below 2*order; fold zeta^order = 1 before dividing.
-        work = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
+        # every index is below 2*order; a list reaching order is folded first.
+        n = (len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1
+        work = [0] * (2 * order if n > order else n)
         for i, ci in enumerate(self.num):
             if ci:
                 i *= sa
                 for j, cj in terms_b:
                     work[i + j] += ci * cj
-        if len(work) > order:
-            for k in range(order, len(work)):
-                work[k - order] += work[k]
-            del work[order:]
+        if n > order:
+            work = _fold(order, work)
         return _make(order, *_lowest(_mod_phi(order, work), self.den * other.den))
 
     __rmul__ = __mul__
@@ -386,8 +397,7 @@ def dot(terms, conjugate: bool = False) -> CycloNumber:
                     work[base + j] += c * cb
     if work is None:  # every term has a zero factor
         return _make(1, (0,), 1)
-    num = _mod_phi(order, list(map(add, work[:order], work[order:])))
-    return _make(order, *_lowest(num, den))
+    return _make(order, *_lowest(_mod_phi(order, _fold(order, work)), den))
 
 
 def root_of_unity(m: int, j: int) -> CycloNumber:

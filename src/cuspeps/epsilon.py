@@ -40,7 +40,7 @@ from .bessel import get_evaluator
 from .cyclo import UNIT, CycloNumber, dot, one, root_of_unity
 from .cusp import CuspidalRep
 from .ffield import AdditiveChar
-from .glq import FULL, STABILIZER, GLGroup, Mat
+from .glq import FULL, STABILIZER, GLGroup, Mat, row_product
 
 __all__ = [
     "RootOfUnity",
@@ -289,11 +289,10 @@ def gauss_pair_sum(
     group = sigma1.group
     _psi_check(group, psi)
     support = group.bessel_support()
-    j1 = get_evaluator(sigma1, psi)
-    j2 = get_evaluator(sigma2, psi)
+    j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
     q, r = group.q, group.r
     terms = (
-        (psi.root(n.rows[r - 1][0]), j1(n_inv).scale(q**length), j2(n_inv))
+        (psi.root(n.rows[r - 1][0]), j1(n_inv.rows).scale(q**length), j2(n_inv.rows))
         for n, n_inv, length in support
     )
     return dot(terms, conjugate=True)
@@ -310,14 +309,15 @@ def pair_sum_vanishing(
         raise ValueError("cuspidals live on different groups")
     group = sigma1.group
     _psi_check(group, psi)
-    j1 = get_evaluator(sigma1, psi)
-    j2 = get_evaluator(sigma2, psi)
+    group.check_matrix(g)
+    j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
     return _pair_sum(j1, j2, group.coset_reps(FULL), g)
 
 
 def _pair_sum(j1, j2, reps, g: Mat) -> CycloNumber:
-    """sum over h in reps of J_1(hg) conj J_2(hg), reduced once."""
-    return dot(((UNIT, j1(hg), j2(hg)) for hg in (h * g for h in reps)), conjugate=True)
+    """sum over h in reps of J_1(hg) conj J_2(hg), reduced once; hg as bare rows."""
+    prod = row_product(g.field, len(g.rows))
+    return dot(((UNIT, j1(hg), j2(hg)) for hg in (prod(h.rows, g.rows) for h in reps)), conjugate=True)
 
 
 def _t_ratio(tau1: LevelZeroRep, tau2: LevelZeroRep) -> RootOfUnity:
@@ -382,8 +382,7 @@ def zeta_tilde_oracle(
     group.check_bound(FULL)
     r, q = group.r, group.q
     q_b = q**r
-    j1 = get_evaluator(tau1.sigma, psi)
-    j2 = get_evaluator(tau2.sigma, psi)
+    j1, j2 = get_evaluator(tau1.sigma, psi), get_evaluator(tau2.sigma, psi)
     w = tau2.central_sign()
 
     # S_e = sum over U\Stab of J_1(h y_e) J_2(h y_e); (h, y) -> h y is a
@@ -565,4 +564,4 @@ def whittaker_eval(
     _psi_check(group, psi)
     group.check_matrix(gbar)
     value = group.psi_u(u, psi) * (tau.t**z).value()
-    return value * get_evaluator(tau.sigma, psi)(gbar)
+    return value * get_evaluator(tau.sigma, psi)(gbar.rows)

@@ -41,10 +41,11 @@ on each block) off which Bessel functions vanish, inverses built directly;
 ``bruhat_cell`` writes any g as u1 n u2 with u1, u2 in U and n monomial, and
 returns n with the sum of the superdiagonals of u1 and u2.
 
-``Mat.__mul__`` looks every entry up in the field's q x q tables
+Products look every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
-ZERO = -1 by negative indexing): one straight-line function per r, generated
-on first use, each entry a chain of r lookups; so are ``prefix`` and ``last``.
+ZERO = -1 by negative indexing).  The one product kernel, :func:`row_product`,
+multiplies row tuples by a straight-line function per (field, r), generated
+on first use with the tables bound; so are ``prefix`` and ``last``, per r.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ class Mat:
         return len(self.rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        F = self.field
-        rows = self.rows
         out = object.__new__(Mat)
-        out.field = F
-        out.rows = _product(len(rows))(*F.tables(), rows, other.rows)
+        out.field = F = self.field
+        out.rows = row_product(F, len(self.rows))(self.rows, other.rows)
         return out
 
     def det(self) -> int:
@@ -137,26 +136,26 @@ class Mat:
 
 
 @functools.cache
-def _product(r: int) -> Callable:
-    """The r x r product over a field's (add, mul) tables, as straight-line code.
+def row_product(field: FieldSpec, r: int) -> Callable:
+    """``product(a, b)``: the product of r x r row tuples over the field, as straight-line code.
 
-    Entry (i, j) is one chain add[..add[mul[a_i0][b_0j]][mul[a_i1][b_1j]]..]
-    with no calls and no loops; the source is generated once per r and
-    compiled, as collections.namedtuple builds its classes."""
+    Row i reads each table row m_ik = mul[a_ik] once, and entry (i, j) is one
+    chain add[..add[m_i0[b_0j]][m_i1[b_1j]]..] with no calls and no loops.
+    The source is generated and compiled once per (field, r), as
+    collections.namedtuple builds its classes, with the field's tables bound."""
     def unpack(x):
         return "[" + ", ".join("[" + ", ".join(f"{x}{i}_{j}" for j in range(r)) + "]" for i in range(r)) + "]"
 
     def entry(i, j):
-        expr = f"mul[a{i}_0][b0_{j}]"
-        for k in range(1, r):
-            expr = f"add[{expr}][mul[a{i}_{k}][b{k}_{j}]]"
-        return expr
+        return functools.reduce(lambda acc, k: f"add[{acc}][m{i}_{k}[b{k}_{j}]]", range(1, r), f"m{i}_0[b0_{j}]")
 
     rows = "".join("(" + "".join(entry(i, j) + ", " for j in range(r)) + "), " for i in range(r))
-    source = f"def product(add, mul, a, b):\n    {unpack('a')} = a\n    {unpack('b')} = b\n    return ({rows})\n"
+    source = (f"def bind(add, mul):\n  def product(a, b):\n    {unpack('a')} = a\n    {unpack('b')} = b\n"
+              + "".join(f"    m{i}_{k} = mul[a{i}_{k}]\n" for i in range(r) for k in range(r))
+              + f"    return ({rows})\n  return product\n")
     namespace: dict = {}
     exec(source, namespace)
-    return namespace["product"]
+    return namespace["bind"](*field.tables())
 
 
 @functools.cache
@@ -654,16 +653,16 @@ class GLGroup:
         ext, r, n = self.ext_field(d), self.r, self.r // d
         embed = self._embedded_logs(d) if d > 1 else ()
         gx = power = [[embed[v] for v in row] if embed else list(row) for row in rows]
-        tables, minus_x = ext.tables(), ext.neg(eig)
+        add, minus_x = ext.tables()[0], ext.neg(eig)
         for i in range(r):
-            gx[i][i] = tables[0][gx[i][i]][minus_x]
+            gx[i][i] = add[gx[i][i]][minus_x]
         steps, seen = (), 0
         while True:
             step = r - _rank(ext, list(power)) - seen
             steps, seen = steps + (step,), seen + step
             if step <= 1 or n - seen <= 1:
                 return conjugate_partition(steps + (1,) * (n - seen))
-            power = _product(r)(*tables, power, gx)
+            power = row_product(ext, r)(power, gx)
 
     @functools.cache
     def _embedded_logs(self, d: int) -> tuple[int, ...]:

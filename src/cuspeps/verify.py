@@ -36,7 +36,7 @@ from .epsilon import (
     zeta_tilde_oracle,
 )
 from .ffield import ZERO, AdditiveChar, MultChar, build_field, subfield_embed
-from .glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, GLGroup, Mat, gl_group
+from .glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, GLGroup, Mat, gl_group, row_product
 
 DEFAULT_SEED = 20240801
 
@@ -326,18 +326,18 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
     psi = _std_psi(group)
     cusps = list_cuspidals(group)
-    unip = [(u, group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)]
-    idm = group.identity()
+    unip = [(u.rows, group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)]
+    idm, prod = group.identity(), row_product(group.field, group.r)
     for sigma in cusps:
         ev = get_evaluator(sigma, psi)
-        ok_one = ev(idm) == 1
+        ok_one = ev(idm.rows) == 1
         checks.append(Check("bessel", f"{label} J(1)=1 orbit {sigma.orbit[0]}", ok_one))
         scal_ok = True
         for z in range(group.q - 1):
-            zmat = Mat(group.field, [[z if i == j else ZERO for j in range(group.r)] for i in range(group.r)])
+            zrows = tuple(tuple(z if i == j else ZERO for j in range(group.r)) for i in range(group.r))
             for g in rng.sample(samples, min(150, len(samples))):
-                want = sigma.central_value(z) * ev(g)
-                if ev(zmat * g) != want or ev(g * zmat) != want:
+                want = sigma.central_value(z) * ev(g.rows)
+                if ev(prod(zrows, g.rows)) != want or ev(prod(g.rows, zrows)) != want:
                     scal_ok = False
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
@@ -345,14 +345,14 @@ def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
             jg = ev.direct(g)  # ev holds this by construction; compare it with the sum over U
             for u, pu in unip:
                 want = pu * jg
-                if ev(u * g) != want or ev(g * u) != want:
+                if ev(prod(u, g.rows)) != want or ev(prod(g.rows, u)) != want:
                     equi_ok = False
                     break
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))
         supp_ok = True
         for kind in (MIRABOLIC, STABILIZER):
             for m in group.iterate(kind):
-                v = ev(m)
+                v = ev(m.rows)
                 if group.contains(UNIPOTENT, m):
                     if v != group.psi_u(m, psi):
                         supp_ok = False
@@ -388,7 +388,7 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         for g in group.elements(FULL):
             key = group.class_key(g)
             sign = -1 if (key.d, key.blocks) == (1, (2,)) else 1
-            if ev(g) != sign or sigma.char_at(g) != sign:
+            if ev(g.rows) != sign or sigma.char_at(g) != sign:
                 ok = False
         checks.append(Check("bessel", "GL_2(F_2) Bessel = sign character of S_3", ok))
     # contragredient identities on GL_2(F_3)
@@ -396,7 +396,7 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         return checks
     group = gl_group(3, 2)
     psi = _std_psi(group)
-    pairs = [(g, g.inv()) for g in group.elements(FULL)]
+    pairs = [(g.rows, g.inv().rows) for g in group.elements(FULL)]
     for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
         dual = get_evaluator(contragredient(sigma), psi.conjugate())
@@ -419,24 +419,25 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         psi = _std_psi(group)
         elems = list(group.elements(FULL))
         label = f"GL_{rr}(F_{qq})"
+        prod = row_product(group.field, rr)
         for sigma in list_cuspidals(group):
             ev = get_evaluator(sigma, psi)
             for kind in (MIRABOLIC, STABILIZER):
-                ls = {g: operator_L(sigma, psi, g, kind) for g in elems}
-                idm = group.identity()
+                ls = {g.rows: operator_L(sigma, psi, g, kind) for g in elems}  # keyed by rows, which hash in C
+                idm = group.identity().rows
                 ident_ok = all(
                     (ls[idm][i][j] == (1 if i == j else 0))
                     for i in range(len(ls[idm]))
                     for j in range(len(ls[idm]))
                 )
-                trace_ok = all(mat_trace(ls[g]) == sigma.char_at(g) for g in elems)
+                trace_ok = all(mat_trace(ls[g.rows]) == sigma.char_at(g) for g in elems)
                 mult_ok = True
                 for _ in range(200):
                     g1, g2 = rng.choice(elems), rng.choice(elems)
-                    if not mat_eq(mat_mul(ls[g1], ls[g2]), ls[g1 * g2]):
+                    if not mat_eq(mat_mul(ls[g1.rows], ls[g2.rows]), ls[prod(g1.rows, g2.rows)]):
                         mult_ok = False
                         break
-                entry_ok = all(ls[g][0][0] == ev(g) for g in elems)
+                entry_ok = all(ls[g.rows][0][0] == ev(g.rows) for g in elems)
                 checks.append(
                     Check(
                         "realization",

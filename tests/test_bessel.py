@@ -17,7 +17,7 @@ from cuspeps.bessel import (
     mat_trace,
     operator_L,
 )
-from cuspeps.cyclo import dot
+from cuspeps.cyclo import UNIT, dot, one
 from cuspeps.cusp import contragredient, list_cuspidals
 from cuspeps.ffield import ZERO, AdditiveChar
 from cuspeps.glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, Mat, gl_group
@@ -68,11 +68,11 @@ def test_bessel_values_cache_one_direct_sum_per_monomial(monkeypatch):
     ev = BesselEvaluator(cusps[0], psi)
     direct, calls = BesselEvaluator.direct, []
     monkeypatch.setattr(BesselEvaluator, "direct", lambda self, g: calls.append(g) or direct(self, g))
-    first = {g: ev(g) for g in group.iterate(FULL)}
+    first = {g: ev(g.rows) for g in group.iterate(FULL)}
     monomials = {group.bruhat_cell(g)[0] for g in group.iterate(FULL)}
     assert len(monomials) == 6 and len(calls) == 6 and set(calls) == monomials
     calls.clear()
-    assert {g: ev(g) for g in group.iterate(FULL)} == first
+    assert {g: ev(g.rows) for g in group.iterate(FULL)} == first
     assert calls == []
     for n in monomials:
         value = direct(ev, n)
@@ -86,7 +86,7 @@ def test_memo_hits_hash_no_matrix(monkeypatch):
     ev = BesselEvaluator(cusps[0], psi)
     elems = group.elements(FULL)[::7]
     keys = [group.class_key(g) for g in elems]
-    values = [ev(g) for g in elems]
+    values = [ev(g.rows) for g in elems]
 
     def refuse(*args):
         raise AssertionError("a memo lookup hashed or compared a Mat")
@@ -94,7 +94,7 @@ def test_memo_hits_hash_no_matrix(monkeypatch):
     monkeypatch.setattr(Mat, "__hash__", refuse)
     monkeypatch.setattr(Mat, "__eq__", refuse)
     assert [group.class_key(g) for g in elems] == keys
-    again = [ev(g) for g in elems]
+    again = [ev(g.rows) for g in elems]
     assert all(x == y and x.m == y.m for x, y in zip(again, values))
 
 
@@ -123,8 +123,8 @@ def test_two_sided_equivariance():
             jg = ev.direct(g)
             for u in group.elements(UNIPOTENT):
                 pu = group.psi_u(u, psi)
-                assert ev(u * g) == pu * jg
-                assert ev(g * u) == pu * jg
+                assert ev((u * g).rows) == pu * jg
+                assert ev((g * u).rows) == pu * jg
 
 
 def test_central_equivariance():
@@ -134,7 +134,7 @@ def test_central_equivariance():
         for z in range(group.q - 1):
             zmat = Mat(group.field, [[z, ZERO], [ZERO, z]])
             for g in group.elements(FULL)[:24]:
-                assert ev(zmat * g) == sigma.central_value(z) * ev(g)
+                assert ev((zmat * g).rows) == sigma.central_value(z) * ev(g.rows)
 
 
 def test_build_table_domains():
@@ -190,7 +190,7 @@ def test_pairing_entry_recovers_bessel():
     for sigma in cusps:
         ev = get_evaluator(sigma, psi)
         for g in group.elements(FULL):
-            assert operator_L(sigma, psi, g, STABILIZER)[0][0] == ev(g)
+            assert operator_L(sigma, psi, g, STABILIZER)[0][0] == ev(g.rows)
 
 
 def test_hankel_identity():
@@ -225,6 +225,55 @@ def test_hankel_check_reuses_coset_inverses(monkeypatch):
     for _ in range(3):
         assert hankel_check(sigma, psi, g1, g2, MIRABOLIC)
     assert calls == []
+
+
+def _operator_L_by_mats(sigma, psi, g, kind):
+    """L(g)[i][j] = J(c_i g c_j^-1) with every product formed as a Mat."""
+    group, ev = sigma.group, get_evaluator(sigma, psi)
+    inverses = group.coset_rep_inverses(kind)
+    return tuple(tuple(ev((ci * g * cj_inv).rows) for cj_inv in inverses) for ci in group.coset_reps(kind))
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_rows_sums_match_mat_formulas(q, r):
+    """operator_L and hankel_check, which multiply bare rows, agree with the
+    same formulas over Mat products at every element of the group."""
+    group, psi, cusps = _setup(q, r)
+    elems = group.elements(FULL)
+    partners = (group.identity(), elems[len(elems) // 3], group.singer_matrix(1))
+    for sigma in cusps:
+        ev = get_evaluator(sigma, psi)
+        for kind in (MIRABOLIC, STABILIZER):
+            pairs = list(zip(group.coset_reps(kind), group.coset_rep_inverses(kind)))
+            for g in elems:
+                assert operator_L(sigma, psi, g, kind) == _operator_L_by_mats(sigma, psi, g, kind)
+                for h in partners:
+                    lhs = dot((UNIT, ev((g * c_inv).rows), ev((c * h).rows)) for c, c_inv in pairs)
+                    assert hankel_check(sigma, psi, g, h, kind) == (lhs == ev((g * h).rows)) is True
+
+
+def test_matrices_of_another_group_are_refused():
+    """A GL_2(F_4) or GL_3(F_3) matrix given with a GL_2(F_3) cuspidal raises
+    instead of giving wrong values (L, the Hankel sum) or an error from deep inside."""
+    group, psi, cusps = _setup(3, 2)
+    sigma, g = cusps[0], group.singer_matrix(1)
+    for other in (gl_group(4, 2).singer_matrix(1), gl_group(3, 3).identity()):
+        with pytest.raises(ValueError, match=r"not in GL_2\(F_3\)"):
+            operator_L(sigma, psi, other, STABILIZER)
+        for g1, g2 in ((other, g), (g, other)):
+            with pytest.raises(ValueError, match=r"not in GL_2\(F_3\)"):
+                hankel_check(sigma, psi, g1, g2, MIRABOLIC)
+
+
+def test_mat_helpers_refuse_mismatched_shapes():
+    group, psi, cusps = _setup(3, 2)
+    small, big = ((one(),),), operator_L(cusps[0], psi, group.identity(), STABILIZER)
+    assert len(big) == 2 and mat_eq(big, big) and mat_mul(small, small) == small
+    for a, b in ((small, big), (big, small)):
+        with pytest.raises(ValueError):
+            mat_eq(a, b)
+        with pytest.raises(ValueError):
+            mat_mul(a, b)
 
 
 def test_contragredient_table():
@@ -336,7 +385,7 @@ def test_cell_values_match_the_sum_over_u(q, r, sample):
         for sigma in list_cuspidals(group)[:2]:
             ev = BesselEvaluator(sigma, psi)
             for g in elems:
-                value, direct = ev(g), ev.direct(g)
+                value, direct = ev(g.rows), ev.direct(g)
                 assert value.to_dict() == direct.to_dict(), g
                 zeros += value.is_zero()
     assert zeros or (q, r) == (2, 2)  # J on GL_2(F_2) is the sign character

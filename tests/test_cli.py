@@ -358,8 +358,10 @@ def test_transfer_exit_contract(vnu, N, e, r, w1, w2, zeta, doc):
                     "--w1", w1, "--w2", w2, "--zeta", zeta], stdin=json.dumps(doc))
 
 
-# Every suite but "field" and "all" (about 14 s each), on groups small enough
-# that a (q, r) outside a suite's list stays cheap to run.
+# Every suite but "field" and "all" (about 0.7 s and 2-3 s per run), on groups
+# small enough that a (q, r) outside a suite's list stays cheap to run.  Those
+# two stay out while a suite still runs a requested (q, r) outside its list:
+# "all" with --q 4 --r 2 would send all 48 GL_2(F_4) pairs through the epsilon oracle.
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["cyclo", "glq", "cusp", "bessel", "realization", "vanishing", "epsilon", "transfer",
                         "", "nope", "ALL", "field2"]),

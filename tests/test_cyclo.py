@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspeps import cyclo
-from cuspeps.cyclo import UNIT, CycloNumber, _mod_phi, cyclotomic_polynomial, dot, one, root_of_unity, zero
+from cuspeps.cyclo import UNIT, CycloNumber, _fold, _mod_phi, cyclotomic_polynomial, dot, one, root_of_unity, zero
 from cuspeps.ffield import ZERO, AdditiveChar, build_field
 
 
@@ -135,6 +135,23 @@ def test_chained_mod_phi_matches_long_division(m):
         work = [rng.randrange(-99, 100) if rng.random() < density else 0 for _ in range(rng.randrange(1, 2 * m + 1))]
         assert _mod_phi(m, list(work)) == _long_division(m, work)
     assert _mod_phi(m, [0] * (2 * m - 1) + [1]) == _long_division(m, [0] * (m - 1) + [1])  # x^(2m-1) = x^(m-1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 14, 15, 24, 30, 120, 255, 510, 1023, 2046, 4095, 8190])
+def test_one_pass_fold_matches_two_step_fold(m):
+    """Folding 2m exponent counts by zeta^m = 1 and, for even m, zeta^(m/2) = -1
+    in one pass, then dividing, gives the remainder of the plain fold by
+    zeta^m = 1 alone: the same tuple, of phi(m) entries, so the same value at
+    the same order."""
+    rng = random.Random(m)
+    for _ in range(6 if m < 1000 else 2):
+        density = rng.choice((0.02, 0.5, 1.0))
+        work = [rng.randrange(-99, 100) if rng.random() < density else 0 for _ in range(2 * m)]
+        two_step = _mod_phi(m, [x + y for x, y in zip(work[:m], work[m:])])
+        folded = _fold(m, list(work))
+        assert len(folded) == (m // 2 if m % 2 == 0 else m)
+        assert _mod_phi(m, folded) == two_step
+        assert len(two_step) == len(cyclotomic_polynomial(m)) - 1
 
 
 def test_root_of_unity_matches_long_division():

@@ -6,7 +6,7 @@ import pytest
 from cuspeps import epsilon, verify
 from cuspeps.bessel import get_evaluator
 from cuspeps.cusp import list_cuspidals
-from cuspeps.cyclo import dot, root_of_unity, zero
+from cuspeps.cyclo import UNIT, dot, root_of_unity, zero
 from cuspeps.epsilon import (
     LevelZeroRep,
     OracleError,
@@ -101,7 +101,7 @@ def test_gauss_pair_sum_coset_independence():
     for h in group.coset_reps(FULL):
         h = rng.choice(unip) * h
         h_inv = h.inv()
-        acc = acc + psi.eval(h.rows[group.r - 1][0]) * j1(h_inv) * j2(h_inv).conjugate()
+        acc = acc + psi.eval(h.rows[group.r - 1][0]) * j1(h_inv.rows) * j2(h_inv.rows).conjugate()
     assert acc == reference
 
 
@@ -126,7 +126,7 @@ def _coset_gauss_pair_sum(sigma1, sigma2, psi):
     group = sigma1.group
     j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
     reps = zip(group.coset_reps(FULL), group.coset_rep_inverses(FULL))
-    return dot(((psi.root(h.rows[group.r - 1][0]), j1(h_inv), j2(h_inv)) for h, h_inv in reps), conjugate=True)
+    return dot(((psi.root(h.rows[group.r - 1][0]), j1(h_inv.rows), j2(h_inv.rows)) for h, h_inv in reps), conjugate=True)
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
@@ -251,6 +251,28 @@ def test_pair_sum_vanishing():
     for g in rng.sample(elems, 20):
         assert pair_sum_vanishing(cusps[0], cusps[1], psi, g).is_zero()
     assert pair_sum_vanishing(cusps[0], cusps[0], psi, group.identity()) == group.q**2 - 1
+
+
+def test_pair_sum_vanishing_refuses_a_matrix_of_another_group():
+    """A GL_2(F_4) matrix would give 0, a GL_3(F_3) one an error from deep inside."""
+    group, psi, cusps = _setup(3, 2)
+    for m in (gl_group(4, 2).singer_matrix(1), gl_group(3, 3).identity()):
+        with pytest.raises(ValueError, match=r"not in GL_2\(F_3\)"):
+            pair_sum_vanishing(cusps[0], cusps[0], psi, m)
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_pair_sum_matches_mat_formula(q, r):
+    """_pair_sum, which multiplies bare rows, equals the sum over Mat products
+    h * g at every element g, in value and order, over U\\G and U\\Stab."""
+    group, psi, cusps = _setup(q, r)
+    for s1 in cusps:
+        for s2 in cusps:
+            j1, j2 = get_evaluator(s1, psi), get_evaluator(s2, psi)
+            for reps in (group.coset_reps(FULL), group.coset_reps(STABILIZER)):
+                for g in group.elements(FULL):
+                    want = dot(((UNIT, j1((h * g).rows), j2((h * g).rows)) for h in reps), conjugate=True)
+                    assert epsilon._pair_sum(j1, j2, reps, g).to_dict() == want.to_dict()
 
 
 def test_pair_sum_vanishing_rank_one_orthogonality():

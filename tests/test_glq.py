@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspeps import cli, glq
 from cuspeps.cyclo import root_of_unity
@@ -21,6 +23,7 @@ from cuspeps.glq import (
     Mat,
     conjugate_partition,
     gl_group,
+    row_product,
 )
 
 SMALL_FIELDS = [(p, k) for p in range(2, 65) for k in range(1, 7)
@@ -843,6 +846,35 @@ def test_product_matches_triple_loop_sampled(q, r):
         product = a * b
         assert product.rows == _triple_loop_product(a, b)
         assert isinstance(product.rows, tuple) and all(isinstance(row, tuple) for row in product.rows)
+
+
+@st.composite
+def field_matrix_pairs(draw):
+    """(field, a, b): two r x r row tuples over GF(q), about half their entries ZERO, so often singular."""
+    F = gl_group(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16])), 1).field
+    r = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(ZERO), st.integers(0, F.q - 2))
+    a, b = (draw(st.tuples(*[st.tuples(*[entry] * r)] * r)) for _ in "ab")
+    return F, a, b
+
+
+def _entrywise_product(F, a, b):
+    """Reference: one FieldSpec.add and one FieldSpec.mul per term."""
+    n = len(a)
+    return tuple(tuple(functools.reduce(F.add, (F.mul(a[i][k], b[k][j]) for k in range(n)), ZERO)
+                       for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_matrix_pairs())
+@example((build_field(2, 4), ((ZERO,) * 5,) * 5, ((0,) * 5,) * 5))
+@example((build_field(3, 2), ((ZERO, 3), (ZERO, 7)), ((1, ZERO), (ZERO, ZERO))))
+def test_row_product_matches_entrywise_field_ops(case):
+    F, a, b = case
+    product = row_product(F, len(a))
+    assert product(a, b) == _entrywise_product(F, a, b)
+    assert product(list(map(list, a)), b) == product(a, b)  # rows may be lists, as in _jordan_blocks
+    assert row_product(F, len(a)) is product
 
 
 # -- the generated characteristic polynomial ----------------------------------
