@@ -24,9 +24,10 @@ per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
 equivariance checks).  A zero J(n) or s = 0 returns J(n) itself, which is
 also the value and the printed order of the sum over U at g.  So a full
 table over GL_r costs |G| row reductions plus r! (q-1)^r * |U| class
-lookups.  J takes an element's rows, the key of its one memo dict (J(n) is
-kept under the rows of n, whose Bruhat cell is (n, 0)), so L(g) and the
-Hankel and pair sums multiply bare rows with :func:`cuspeps.glq.row_product`.
+lookups.  Inside, an element is its row tuple and no :class:`Mat` is built:
+J and ``direct`` take rows, the key of the one memo dict (J(n) is kept under
+the rows of n, whose Bruhat cell is (n, 0)), and every sum multiplies rows with
+:func:`cuspeps.glq.row_product`; the public functions check a ``Mat`` first.
 psi_U(u) is kept as an exponent (order, k), and each sum over U, Hankel sum
 and entry of an operator product is one call of :func:`cuspeps.cyclo.dot`,
 reduced modulo Phi_m once.
@@ -71,24 +72,25 @@ class BesselEvaluator:
         self.psi = psi
         group, conj = sigma.group, psi.conjugate()
         # the sum over v = u^-1 in U: psi_U(u) = psi_U(v^-1) = conj psi_U(v)
-        self._terms = tuple((group.psi_u_root(v, conj), v) for v in group.elements(UNIPOTENT))
+        self._terms = tuple((group.psi_u_root(v.rows, conj), v.rows) for v in group.elements(UNIPOTENT))
         self._norm = Fraction(1, len(self._terms))
         self._cache: dict[tuple, CycloNumber] = {}
 
-    def direct(self, g: Mat) -> CycloNumber:
-        """J(g) by the defining sum over U, uncached: the formula for monomials
-        and the reference the equivariance checks compare against."""
-        char_at = self.sigma.char_at
-        return dot((w, char_at(g * v), None) for w, v in self._terms).scale(self._norm)
+    def direct(self, rows: tuple) -> CycloNumber:
+        """J at an element's rows by the defining sum over U, uncached: the
+        formula for monomials and the reference the equivariance checks compare against."""
+        group, char_value = self.sigma.group, self.sigma.char_value
+        key, prod = group.row_key, row_product(group.field, group.r)
+        return dot((w, char_value(key(prod(rows, v))), None) for w, v in self._terms).scale(self._norm)
 
     def __call__(self, rows: tuple) -> CycloNumber:
         cache = self._cache  # keyed by rows, which hash in C; rows of another group are not refused
         value = cache.get(rows)
         if value is None:
-            n, s = self.sigma.group.bruhat_cell(Mat(self.psi.field, rows))
-            jn = cache.get(n.rows)
+            n, s = self.sigma.group.bruhat_cell(rows)
+            jn = cache.get(n)
             if jn is None:
-                jn = cache[n.rows] = self.direct(n)
+                jn = cache[n] = self.direct(n)
             root = self.psi.root(s)
             # A zero J(n), or s = 0, keeps the order that the direct sum prints.
             value = cache[rows] = jn if root == UNIT or jn.is_zero() else jn * root_of_unity(*root)

@@ -112,14 +112,12 @@ def _group_psi(args):
 
 
 def _cuspidal(group, exponent: int):
-    from .cusp import list_cuspidals
+    from .cusp import CuspidalRep
 
-    for sigma in list_cuspidals(group):
-        if exponent % (group.big_field.q - 1) in sigma.orbit:
-            return sigma
-    raise UsageError(
-        f"exponent {exponent} is not regular for q={group.q}, r={group.r}"
-    )
+    try:
+        return CuspidalRep(group, exponent)
+    except ValueError:
+        raise UsageError(f"exponent {exponent} is not regular for q={group.q}, r={group.r}") from None
 
 
 def cmd_field(args):

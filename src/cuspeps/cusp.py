@@ -14,7 +14,8 @@ faith: :func:`mirabolic_restriction_check` and :func:`gelfand_graev_mult`
 re-derive its defining properties by brute force (induced-character sums
 over the mirabolic / stabilizer subgroups and over the whole group), and the
 test suite requires them to pass for every cuspidal of the desk-scale groups
-before anything downstream is trusted.
+before anything downstream is trusted.  Past the check of a :class:`Mat`,
+those sums work on row tuples, multiplied by :func:`cuspeps.glq.row_product`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .glq import (
     ClassKey,
     GLGroup,
     Mat,
+    row_product,
 )
 
 __all__ = [
@@ -172,21 +174,21 @@ def induced_psi_character(
     psi, g), kept in the dict of :func:`_induced_values`.  A matrix of another
     group raises ValueError."""
     group.check_matrix(g)
-    values = _induced_values(group, kind, psi)
-    acc = values.get(g)
+    values, rows = _induced_values(group, kind, psi), g.rows
+    acc = values.get(rows)
     if acc is None:
+        prod = row_product(group.field, group.r)
         reps = zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
-        conjugates = (c * g * c_inv for c, c_inv in reps)
-        unipotent = (h for h in conjugates if group.contains(UNIPOTENT, h))
+        conjugates = (prod(prod(c.rows, rows), c_inv.rows) for c, c_inv in reps)
+        unipotent = (h for h in conjugates if group.has_leads(UNIPOTENT, h))
         unit = one()
-        acc = dot((group.psi_u_root(h, psi), unit, None) for h in unipotent)
-        values[g] = acc
+        acc = values[rows] = dot((group.psi_u_root(h, psi), unit, None) for h in unipotent)
     return acc
 
 
 @functools.cache
-def _induced_values(group: GLGroup, kind: str, psi: AdditiveChar) -> dict[Mat, CycloNumber]:
-    """g -> character of Ind_U^kind(psi_U) at g, filled by :func:`induced_psi_character`."""
+def _induced_values(group: GLGroup, kind: str, psi: AdditiveChar) -> dict[tuple, CycloNumber]:
+    """rows of g -> character of Ind_U^kind(psi_U) at g, filled by :func:`induced_psi_character`."""
     return {}
 
 

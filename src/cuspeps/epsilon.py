@@ -292,7 +292,7 @@ def gauss_pair_sum(
     j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
     q, r = group.q, group.r
     terms = (
-        (psi.root(n.rows[r - 1][0]), j1(n_inv.rows).scale(q**length), j2(n_inv.rows))
+        (psi.root(n[r - 1][0]), j1(n_inv).scale(q**length), j2(n_inv))
         for n, n_inv, length in support
     )
     return dot(terms, conjugate=True)
@@ -353,8 +353,7 @@ def l_factor_pair(tau1: LevelZeroRep, tau2: LevelZeroRep) -> LFactorSpec:
 
 def _phi_weight(group: GLGroup, psi: AdditiveChar, torus_exp: int) -> tuple[int, int]:
     """psi of the (r,1) entry of the inverse torus element, as (order, exponent)."""
-    y_inv = group.singer_matrix(-torus_exp)
-    return psi.root(y_inv.rows[group.r - 1][0])
+    return psi.root(group.singer_coeffs(-torus_exp)[group.r - 1])  # column 0 of y^-1: its coordinates
 
 
 def zeta_tilde_oracle(

@@ -36,10 +36,14 @@ scan and are placed, not searched.  ``coset_reps`` builds the first element
 of each coset U*g from the same rows: U adds multiples of lower rows to upper
 rows, so that element has ZERO wherever a lower row starts (has its first
 nonzero entry).
-``bessel_support`` lists the monomials t*w (w block anti-diagonal, t scalar
-on each block) off which Bessel functions vanish, inverses built directly;
-``bruhat_cell`` writes any g as u1 n u2 with u1, u2 in U and n monomial, and
-returns n with the sum of the superdiagonals of u1 and u2.
+
+Inside the package a matrix is its row tuple; a :class:`Mat` is the checked
+form a caller passes in or gets back, whose rows ``class_key`` and ``contains``
+hand to :meth:`GLGroup.row_key` (memoized) and :meth:`GLGroup.has_leads`.
+``bessel_support`` lists as rows the monomials t*w (w block anti-diagonal, t
+scalar on each block) off which Bessel functions vanish, with inverses; the
+one row reduction, :func:`_bruhat`, writes g = u1 n u2 (u1, u2 in U, n
+monomial) and also gives the rank that the Jordan types read over GF(q^d).
 
 Products look every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
@@ -106,20 +110,22 @@ class Mat:
         return c if len(self.rows) % 2 == 0 else self.field.neg(c)
 
     def inv(self) -> "Mat":
-        F = self.field
-        n = self.r
+        F, n = self.field, len(self.rows)
+        add, mul = F.tables()
+        minus = mul[F.neg(0)]
         work = [list(row) + [0 if i == j else ZERO for j in range(n)] for i, row in enumerate(self.rows)]
         for col in range(n):
             piv = next((i for i in range(col, n) if work[i][col] != ZERO), None)
             if piv is None:
                 raise ValueError("matrix is singular")
             work[col], work[piv] = work[piv], work[col]
-            inv_p = F.inv(work[col][col])
-            work[col] = [F.mul(inv_p, v) for v in work[col]]
+            times = mul[-work[col][col] % (F.q - 1)]  # divide by the pivot
+            pivot_row = work[col] = [times[v] for v in work[col]]
             for i in range(n):
-                if i != col and work[i][col] != ZERO:
-                    f = work[i][col]
-                    work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[col])]
+                f = work[i][col]
+                if i != col and f != ZERO:  # row i minus f * pivot row
+                    times = mul[minus[f]]
+                    work[i] = [add[a][times[b]] for a, b in zip(work[i], pivot_row)]
         return Mat(F, [row[n:] for row in work])
 
     def __eq__(self, other):
@@ -248,28 +254,48 @@ def _leads(kind: str, r: int) -> tuple[tuple[int, ...], ...]:
     raise ValueError(f"unknown subgroup kind {kind!r}")
 
 
-def _rank(F: FieldSpec, rows: list[list[int]]) -> int:
-    """Rank by row reduction over the field's (add, mul) tables (rows are consumed)."""
+def _bruhat(F: FieldSpec, rows) -> tuple[list[list[int]], int, int]:
+    """(n, s, rank): g = u1 n u2 with u1, u2 in U and s the sum of their
+    superdiagonals, by row reduction over the field's (add, mul) tables in
+    O(r^3) lookups; the one row reduction of glq.
+
+    Row i, from the last up, keeps its first nonzero entry, in column c:
+    adding multiples of column c to later columns (g times an elementary
+    matrix of U) clears the rest of row i, and adding multiples of row i
+    to earlier rows (an elementary matrix of U times g) clears the rest of
+    column c.  The rows below i are already ZERO off their own columns, so
+    neither step touches them, and a ZERO row is passed over: n has rank
+    nonzero entries, in distinct rows and columns.  The superdiagonal of a
+    product in U is the sum of theirs, so s adds up the factor f of every
+    step between neighbouring columns or rows: u1 and u2 are never built."""
     add, mul = F.tables()
-    minus_one = mul[F.neg(0)]
-    n = len(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = rank
-        while piv < n and rows[piv][col] == ZERO:
-            piv += 1
-        if piv == n:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        neg_inv = minus_one[-pivot_row[col] % (F.q - 1)]  # log of -1/pivot
-        for i in range(rank + 1, n):
-            x = rows[i][col]
+    n1, minus = F.q - 1, mul[F.neg(0)]
+    a = [list(row) for row in rows]
+    r, s, rank = len(a), ZERO, 0
+    for i in range(r - 1, -1, -1):
+        row = a[i]
+        for c, x in enumerate(row):
             if x != ZERO:
-                times = mul[mul[x][neg_inv]]  # row i minus (x/pivot) * pivot row
-                rows[i] = [add[a][times[b]] for a, b in zip(rows[i], pivot_row)]
+                break
+        else:
+            continue
         rank += 1
-    return rank
+        inv = -row[c]
+        for k in range(c + 1, r):
+            if row[k] != ZERO:  # column k -= f * column c, f = a[i][k] / a[i][c]
+                f = (row[k] + inv) % n1
+                if k == c + 1:
+                    s = add[s][f]
+                neg_f = minus[f]
+                for h in range(i + 1):
+                    if a[h][c] != ZERO:
+                        a[h][k] = add[a[h][k]][mul[neg_f][a[h][c]]]
+        for h in range(i):
+            if a[h][c] != ZERO:  # row h -= f * row i, f = a[h][c] / a[i][c]; row i is ZERO off column c
+                if h == i - 1:
+                    s = add[s][(a[h][c] + inv) % n1]
+                a[h][c] = ZERO
+    return a, s, rank
 
 
 # -- conjugacy keys ----------------------------------------------------------
@@ -325,10 +351,12 @@ def _centralizer_order(Q: int, blocks) -> int:
 class GLGroup:
     """GL_r over GF(q) with cached structural data.
 
-    Instances are shared through :func:`gl_group`.  What is built once per
-    group is memoized by ``functools.cache`` on its method; the class key of
-    each element is kept in the dict ``_key_cache`` under the element's rows.
-    All public methods are pure; the caches are append-only.
+    What is built once per group is memoized by ``functools.cache`` on its
+    method, and that cache keeps every group it has served alive for the life
+    of the process; so :func:`gl_group`, which shares one instance per (q, r),
+    is the constructor to use.  The class key of each element is kept in the
+    dict ``_key_cache`` under the element's rows.  All public methods are
+    pure; the caches are append-only.
     """
 
     def __init__(self, field: FieldSpec, r: int):
@@ -425,10 +453,11 @@ class GLGroup:
             return False
         if kind == SINGER:
             return m.det() != ZERO and self.singer_decompose(m)[1] == self.identity()
-        for row, lead in zip(m.rows, _leads(kind, self.r)):
-            if row[:len(lead)] != lead:
-                return False
-        return kind == UNIPOTENT or m.det() != ZERO
+        return self.has_leads(kind, m.rows) and (kind == UNIPOTENT or m.det() != ZERO)
+
+    def has_leads(self, kind: str, rows) -> bool:
+        """Whether these rows start with the kind's row leads; nothing else is checked."""
+        return all(row[:len(lead)] == lead for row, lead in zip(rows, _leads(kind, self.r)))
 
     # -- nondegenerate character of U ------------------------------------
 
@@ -436,14 +465,14 @@ class GLGroup:
         """psi(sum of superdiagonal entries); a nondegenerate character of U."""
         if not self.contains(UNIPOTENT, u):
             raise ValueError("matrix is not unipotent upper-triangular")
-        return root_of_unity(*self.psi_u_root(u, psi))
+        return root_of_unity(*self.psi_u_root(u.rows, psi))
 
-    def psi_u_root(self, u: Mat, psi: AdditiveChar) -> tuple[int, int]:
-        """psi_u(u, psi) as (order, exponent), see :meth:`AdditiveChar.root`; u in U is not checked."""
+    def psi_u_root(self, rows, psi: AdditiveChar) -> tuple[int, int]:
+        """psi_u at the rows of u as (order, exponent), see :meth:`AdditiveChar.root`; u in U is not checked."""
         F = self.field
         acc = ZERO
         for i in range(self.r - 1):
-            acc = F.add(acc, u.rows[i][i + 1])
+            acc = F.add(acc, rows[i][i + 1])
         return psi.root(acc)
 
     # -- Singer torus ----------------------------------------------------
@@ -524,8 +553,8 @@ class GLGroup:
     # -- support of the Bessel functions -----------------------------------
 
     @functools.cache
-    def bessel_support(self) -> tuple[tuple[Mat, Mat, int], ...]:
-        """(n, n^-1, len(w)) for each monomial n = t*w off which every Bessel function vanishes.
+    def bessel_support(self) -> tuple[tuple[tuple, tuple, int], ...]:
+        """(n, n^-1, len(w)), n and n^-1 as rows, for each monomial n = t*w off which every Bessel function vanishes.
 
         For each composition r_1 + ... + r_k of r, w puts identity blocks on
         the block anti-diagonal (row block i in column block k + 1 - i) and t
@@ -552,49 +581,16 @@ class GLGroup:
                     for i in range(lo, hi):
                         n[i][r - lo - hi + i] = e
                         n_inv[r - lo - hi + i][i] = -e % (q - 1)
-                support.append((Mat(self.field, n), Mat(self.field, n_inv), length))
+                support.append((tuple(map(tuple, n)), tuple(map(tuple, n_inv)), length))
         return tuple(support)
 
-    def bruhat_cell(self, g: Mat) -> tuple[Mat, int]:
-        """(n, s): g = u1 n u2 with u1, u2 in U, n monomial and s the sum of the
-        superdiagonals of u1 and u2, by row reduction in O(r^3) lookups.
-
-        Row i, from the last up, keeps its first nonzero entry, in column c:
-        adding multiples of column c to later columns (g times an elementary
-        matrix of U) clears the rest of row i, and adding multiples of row i
-        to earlier rows (an elementary matrix of U times g) clears the rest of
-        column c.  The rows below i are already ZERO off their own columns, so
-        neither step touches them.  The superdiagonal of a product in U is the
-        sum of theirs, so s adds up the factor f of every step between
-        neighbouring columns or rows: u1 and u2 are never built."""
-        F, r = self.field, self.r
-        add, mul = F.tables()
-        n1, minus = F.q - 1, mul[F.neg(0)]
-        a = [list(row) for row in g.rows]
-        s = ZERO
-        for i in range(r - 1, -1, -1):
-            row = a[i]
-            for c, x in enumerate(row):
-                if x != ZERO:
-                    break
-            else:
-                raise ValueError("matrix is singular")
-            inv = -row[c]
-            for k in range(c + 1, r):
-                if row[k] != ZERO:  # column k -= f * column c, f = a[i][k] / a[i][c]
-                    f = (row[k] + inv) % n1
-                    if k == c + 1:
-                        s = add[s][f]
-                    neg_f = minus[f]
-                    for h in range(i + 1):
-                        if a[h][c] != ZERO:
-                            a[h][k] = add[a[h][k]][mul[neg_f][a[h][c]]]
-            for h in range(i):
-                if a[h][c] != ZERO:  # row h -= f * row i, f = a[h][c] / a[i][c]; row i is ZERO off column c
-                    if h == i - 1:
-                        s = add[s][(a[h][c] + inv) % n1]
-                    a[h][c] = ZERO
-        return Mat(F, a), s
+    def bruhat_cell(self, rows) -> tuple[tuple, int]:
+        """(n, s) for the rows of g: g = u1 n u2 with u1, u2 in U, n monomial
+        (as rows) and s the sum of the superdiagonals of u1 and u2 (:func:`_bruhat`)."""
+        n, s, rank = _bruhat(self.field, rows)
+        if rank < self.r:
+            raise ValueError("matrix is singular")
+        return tuple(map(tuple, n)), s
 
     # -- characteristic polynomial and class keys -------------------------
 
@@ -604,12 +600,14 @@ class GLGroup:
 
     def class_key(self, g: Mat) -> ClassKey:
         """Conjugacy key of g: primary data (d, eigenvalue orbit, Jordan type) or non-primary."""
-        rows = g.rows
-        # keyed by rows, which hash in C; rows over another field may equal a cached key
-        key = self._key_cache.get(rows) if g.field is self.field else None
-        if key is None:  # rows of another size equal no cached key
-            self.check_matrix(g)
-            cp = self.charpoly(g)
+        self.check_matrix(g)  # rows alone do not name a field
+        return self.row_key(g.rows)
+
+    def row_key(self, rows) -> ClassKey:
+        """The class key of the matrix with these rows, unchecked, kept in ``_key_cache`` under them."""
+        key = self._key_cache.get(rows)
+        if key is None:
+            cp = _charpoly(self.field, rows)
             if cp[0] == ZERO:  # det(g) = (-1)^r cp(0)
                 raise ValueError("matrix is singular")
             key = self._key_cache[rows] = self._key_of(cp, rows)
@@ -658,7 +656,7 @@ class GLGroup:
             gx[i][i] = add[gx[i][i]][minus_x]
         steps, seen = (), 0
         while True:
-            step = r - _rank(ext, list(power)) - seen
+            step = r - _bruhat(ext, power)[2] - seen
             steps, seen = steps + (step,), seen + step
             if step <= 1 or n - seen <= 1:
                 return conjugate_partition(steps + (1,) * (n - seen))

@@ -342,7 +342,7 @@ def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
         for g in rng.sample(samples, min(150, len(samples))):
-            jg = ev.direct(g)  # ev holds this by construction; compare it with the sum over U
+            jg = ev.direct(g.rows)  # ev holds this by construction; compare it with the sum over U
             for u, pu in unip:
                 want = pu * jg
                 if ev(prod(u, g.rows)) != want or ev(prod(g.rows, u)) != want:

@@ -18,9 +18,10 @@ from cuspeps.bessel import (
     operator_L,
 )
 from cuspeps.cyclo import UNIT, dot, one
-from cuspeps.cusp import contragredient, list_cuspidals
-from cuspeps.ffield import ZERO, AdditiveChar
-from cuspeps.glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, Mat, gl_group
+from cuspeps.cusp import contragredient, induced_psi_character, list_cuspidals
+from cuspeps.epsilon import gauss_pair_sum
+from cuspeps.ffield import ZERO, AdditiveChar, build_field
+from cuspeps.glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, GLGroup, Mat, gl_group
 
 
 def _setup(q, r):
@@ -68,11 +69,11 @@ def test_bessel_values_cache_one_direct_sum_per_monomial(monkeypatch):
     ev = BesselEvaluator(cusps[0], psi)
     direct, calls = BesselEvaluator.direct, []
     monkeypatch.setattr(BesselEvaluator, "direct", lambda self, g: calls.append(g) or direct(self, g))
-    first = {g: ev(g.rows) for g in group.iterate(FULL)}
-    monomials = {group.bruhat_cell(g)[0] for g in group.iterate(FULL)}
+    first = {g.rows: ev(g.rows) for g in group.iterate(FULL)}
+    monomials = {group.bruhat_cell(g.rows)[0] for g in group.iterate(FULL)}
     assert len(monomials) == 6 and len(calls) == 6 and set(calls) == monomials
     calls.clear()
-    assert {g: ev(g.rows) for g in group.iterate(FULL)} == first
+    assert {g.rows: ev(g.rows) for g in group.iterate(FULL)} == first
     assert calls == []
     for n in monomials:
         value = direct(ev, n)
@@ -98,6 +99,34 @@ def test_memo_hits_hash_no_matrix(monkeypatch):
     assert all(x == y and x.m == y.m for x, y in zip(again, values))
 
 
+def test_sums_on_rows_build_no_matrix(monkeypatch):
+    """Once a group's subgroups and coset representatives are built, J by the
+    sum over U and by Bruhat cell, the induced character of a new (group,
+    kind, psi, g) and the Gauss pair sum construct and multiply no Mat."""
+    group = GLGroup(build_field(3, 1), 3)  # built here, so no memo holds its values
+    psi = AdditiveChar(group.field, 1)
+    sigma1, sigma2 = list_cuspidals(group)[:2]
+    group.elements(UNIPOTENT)
+    group.coset_rep_inverses(MIRABOLIC)
+    group.class_key(group.identity())  # the primary charpolys, read off Singer matrices
+    ev = BesselEvaluator(sigma1, psi)
+    g, m = group.singer_matrix(5), group.elements(MIRABOLIC)[100]
+
+    def refuse(*args):
+        raise AssertionError("a Mat was built")
+
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    monkeypatch.setattr(Mat, "__mul__", refuse)
+    direct, value = ev.direct(g.rows), ev(g.rows)
+    induced = induced_psi_character(group, MIRABOLIC, psi, m)
+    pair_sum = gauss_pair_sum(sigma1, sigma2, psi)
+    monkeypatch.undo()
+    assert direct == value and not value.is_zero()
+    assert induced == sigma1.char_at(m)  # the restriction of a cuspidal to M is Ind_U^M psi_U
+    shared = gl_group(3, 3)
+    assert pair_sum == gauss_pair_sum(*list_cuspidals(shared)[:2], AdditiveChar(shared.field, 1))
+
+
 def test_get_evaluator_is_one_per_pair():
     """Equal cuspidals from separate listings share one evaluator; another shift gets its own."""
     group, psi, cusps = _setup(3, 2)
@@ -120,7 +149,7 @@ def test_two_sided_equivariance():
         ev = get_evaluator(sigma, psi)
         for _ in range(100):
             g = rng.choice(elems)
-            jg = ev.direct(g)
+            jg = ev.direct(g.rows)
             for u in group.elements(UNIPOTENT):
                 pu = group.psi_u(u, psi)
                 assert ev((u * g).rows) == pu * jg
@@ -315,7 +344,7 @@ def test_bessel_support(q, r):
     assert len(support) == (q - 1) * q ** (r - 1)
     inside = {n: (n_inv, length) for n, n_inv, length in support}
     assert {n_inv for n_inv, _ in inside.values()} == set(inside)
-    unipotent = [(group.psi_u_root(u, psi), u.inv()) for u in group.elements(UNIPOTENT)]
+    unipotent = [(group.psi_u_root(u.rows, psi), u.inv()) for u in group.elements(UNIPOTENT)]
 
     def scaled_j(g):
         """|U| J(g) for every cuspidal: sum over u of psi_U(u) chi(g u^-1), with the u
@@ -326,9 +355,9 @@ def test_bessel_support(q, r):
 
     assert all(value == len(unipotent) for value in scaled_j(group.identity()))
     for n, perm in _monomials(group):
-        if n in inside:
-            n_inv, length = inside[n]
-            assert n * n_inv == group.identity()
+        if n.rows in inside:
+            n_inv, length = inside[n.rows]
+            assert n * Mat(group.field, n_inv) == group.identity()
             assert length == sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
         else:
             assert all(value.is_zero() for value in scaled_j(n)), n
@@ -350,11 +379,12 @@ def test_bruhat_cell_factors(q, r, sample):
     give u1 * n * u2 == g with superdiagonals adding up to s."""
     group = gl_group(q, r)
     F = group.field
-    monomials = {n for n, _ in _monomials(group)}
+    monomials = {n.rows for n, _ in _monomials(group)}
     unipotent = [(u, u.inv(), _superdiagonal(F, u)) for u in group.elements(UNIPOTENT)]
     for g in _cell_elements(group, sample):
-        n, s = group.bruhat_cell(g)
+        n, s = group.bruhat_cell(g.rows)
         assert n in monomials
+        n = Mat(F, n)
         n_inv = n.inv()
         factors = ((g * u2_inv * n_inv, u2, s2) for u2, u2_inv, s2 in unipotent)
         assert any(
@@ -363,7 +393,7 @@ def test_bruhat_cell_factors(q, r, sample):
         ), g
     singular = Mat(F, [[ZERO] * r] + [[0 if i == j else ZERO for j in range(r)] for i in range(1, r)])
     with pytest.raises(ValueError, match="singular"):
-        group.bruhat_cell(singular)
+        group.bruhat_cell(singular.rows)
 
 
 def _superdiagonal(F, u):
@@ -385,7 +415,7 @@ def test_cell_values_match_the_sum_over_u(q, r, sample):
         for sigma in list_cuspidals(group)[:2]:
             ev = BesselEvaluator(sigma, psi)
             for g in elems:
-                value, direct = ev(g.rows), ev.direct(g)
+                value, direct = ev(g.rows), ev.direct(g.rows)
                 assert value.to_dict() == direct.to_dict(), g
                 zeros += value.is_zero()
     assert zeros or (q, r) == (2, 2)  # J on GL_2(F_2) is the sign character

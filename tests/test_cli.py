@@ -170,6 +170,17 @@ def test_epsilon_work_bound_exits_2(capsys, q, r, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("epsilon", "--q", "3", "--r", "2", "--theta1", "4", "--theta2", "1"),
+        ("bessel", "--q", "3", "--r", "2", "--theta", "4"),
+    ],
+)
+def test_irregular_exponent_exits_2(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", "error: exponent 4 is not regular for q=3, r=2\n")
+
+
 def test_root_order_limit(capsys):
     assert RootOfUnity.parse(f"1/{MAX_ROOT_ORDER}").order == MAX_ROOT_ORDER
     assert RootOfUnity.parse(f"2/{2 * MAX_ROOT_ORDER}").order == MAX_ROOT_ORDER

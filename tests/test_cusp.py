@@ -194,8 +194,8 @@ def test_induced_psi_checks_each_conjugate_once(monkeypatch):
     """One unipotent test per coset: psi_u_root trusts the filter before it."""
     group = GLGroup(build_field(2, 1), 3)
     calls = []
-    contains = group.contains
-    monkeypatch.setattr(group, "contains", lambda kind, m: calls.append(kind) or contains(kind, m))
+    has_leads = group.has_leads
+    monkeypatch.setattr(group, "has_leads", lambda kind, rows: calls.append(kind) or has_leads(kind, rows))
     value = induced_psi_character(group, MIRABOLIC, AdditiveChar(group.field, 0), group.identity())
     reps = group.coset_reps(MIRABOLIC)
     assert value == one().scale(len(reps))

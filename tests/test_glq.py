@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cuspeps import cli, glq
 from cuspeps.cyclo import root_of_unity
-from cuspeps.ffield import ZERO, AdditiveChar, build_field, subfield_embed
+from cuspeps.ffield import ZERO, AdditiveChar, FieldSpec, build_field, subfield_embed
 from cuspeps.glq import (
     FULL,
     MIRABOLIC,
@@ -927,3 +927,101 @@ def test_charpoly_large_r(q, r):
         assert cp[r - 1] == F.neg(trace)
         det = _oracle_det(F, g.rows)
         assert cp[0] == (det if r % 2 == 0 else F.neg(det))
+
+
+# -- the one row reduction and Mat.inv ------------------------------------------
+
+
+def _all_matrices(F, r):
+    elems = tuple(F.elements())
+    for entries in itertools.product(elems, repeat=r * r):
+        yield tuple(entries[i * r:(i + 1) * r] for i in range(r))
+
+
+def _low_rank_sample(F, r, n, rng):
+    """n r x r matrices whose rows come from a pool of r - 1 random rows: rank < r."""
+    elems = list(F.elements())
+    for _ in range(n):
+        pool = [[rng.choice(elems) for _ in range(r)] for _ in range(r - 1)]
+        yield tuple(tuple(rng.choice(pool)) for _ in range(r))
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2), (2, 3)])
+def test_bruhat_rank_matches_the_oracle(q, r):
+    """The rank that the Bruhat reduction counts, on every matrix, singular ones included."""
+    F = gl_group(q, 1).field
+    ranks = set()
+    for rows in _all_matrices(F, r):
+        rank = glq._bruhat(F, rows)[2]
+        assert rank == _oracle_rank(F, rows), rows
+        ranks.add(rank)
+    assert ranks == set(range(r + 1))
+
+
+@pytest.mark.parametrize("q,r", [(4, 3), (9, 3), (4, 4), (9, 4)])
+def test_bruhat_rank_matches_the_oracle_sampled(q, r):
+    """Over the tables of GF(4) and GF(9), where the Jordan types read it: random and low-rank samples."""
+    F = gl_group(q, 1).field
+    rng = random.Random(10 * q + r)
+    elems = list(F.elements())
+    dense = (tuple(tuple(rng.choice(elems) for _ in range(r)) for _ in range(r)) for _ in range(200))
+    for rows in itertools.chain(dense, _low_rank_sample(F, r, 200, rng)):
+        assert glq._bruhat(F, rows)[2] == _oracle_rank(F, rows), rows
+
+
+def _gauss_jordan_inverse(F, rows):
+    """The inverse by Gauss-Jordan elimination on [g | I], one FieldSpec call per entry operation."""
+    n = len(rows)
+    work = [list(row) + [0 if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col] != ZERO), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        inv_p = F.inv(work[col][col])
+        work[col] = [F.mul(inv_p, v) for v in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != ZERO:
+                f = work[i][col]
+                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _inverse_cases():
+    for q in (2, 3, 4, 5):
+        yield from gl_group(q, 2).elements(FULL)
+    yield from gl_group(2, 3).elements(FULL)
+    for q, r in ((3, 3), (2, 4)):
+        for kind in (FULL, MIRABOLIC, STABILIZER):
+            yield from gl_group(q, r).coset_reps(kind)
+    for q, r in ((3, 4), (2, 5)):
+        group, rng = gl_group(q, r), random.Random(10 * q + r)
+        yield from (_random_invertible(group, rng) for _ in range(150))
+
+
+def test_inverse_matches_gauss_jordan_by_field_calls():
+    count = 0
+    for g in _inverse_cases():
+        g_inv = g.inv()
+        assert g_inv.rows == _gauss_jordan_inverse(g.field, g.rows), g
+        assert g_inv.field is g.field
+        count += 1
+    assert count == 6 + 48 + 180 + 480 + 168 + (416 + 16 + 16) + (315 + 21 + 21) + 2 * 150
+    for q, r in ((2, 2), (3, 3), (4, 2)):
+        F = gl_group(q, r).field
+        singular = Mat(F, [[0] * r] * 2 + [[0 if i == j else ZERO for j in range(r)] for i in range(2, r)])
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            singular.inv()
+
+
+def test_inverse_makes_no_per_entry_field_call(monkeypatch):
+    """Mat.inv reads the (add, mul) tables: no FieldSpec add, sub, mul, inv or div per entry."""
+    elems = gl_group(5, 3).elements(MIRABOLIC)[::37] + gl_group(4, 2).elements(FULL)
+    expected = [_gauss_jordan_inverse(g.field, g.rows) for g in elems]
+
+    def refuse(*args):
+        raise AssertionError("Mat.inv called a FieldSpec arithmetic method")
+
+    for name in ("add", "sub", "mul", "inv", "div"):
+        monkeypatch.setattr(FieldSpec, name, refuse)
+    assert [g.inv().rows for g in elems] == expected
