@@ -138,10 +138,14 @@ def build_table(sigma: CuspidalRep, psi: AdditiveChar, domain: str) -> BesselTab
     return BesselTable(sigma, psi, domain, values)
 
 
-def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
-    """Matrix of L(g) in the delta basis indexed by U\\M representatives."""
+def _check_model_kind(kind: str) -> None:
     if kind not in (MIRABOLIC, STABILIZER):
         raise ValueError("the model space lives on the mirabolic or the stabilizer")
+
+
+def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
+    """Matrix of L(g) in the delta basis indexed by U\\M representatives."""
+    _check_model_kind(kind)
     group = sigma.group
     group.check_matrix(g)
     ev, prod = get_evaluator(sigma, psi), row_product(group.field, group.r)
@@ -151,7 +155,8 @@ def operator_L(sigma: CuspidalRep, psi: AdditiveChar, g: Mat, kind: str):
 
 
 def hankel_check(sigma: CuspidalRep, psi: AdditiveChar, g1: Mat, g2: Mat, kind: str) -> bool:
-    """sum_{m in M/U} J(g1 m) J(m^-1 g2) == J(g1 g2), exactly."""
+    """sum_{m in M/U} J(g1 m) J(m^-1 g2) == J(g1 g2), exactly; M is the mirabolic or the stabilizer."""
+    _check_model_kind(kind)
     group = sigma.group
     group.check_matrix(g1)
     group.check_matrix(g2)
@@ -187,4 +192,6 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_trace(a):
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("the trace needs a square matrix")
     return sum((a[i][i] for i in range(len(a))), zero())

@@ -281,6 +281,15 @@ def test_rows_sums_match_mat_formulas(q, r):
                     assert hankel_check(sigma, psi, g, h, kind) == (lhs == ev((g * h).rows)) is True
 
 
+@pytest.mark.parametrize("kind", [FULL, UNIPOTENT, SINGER, "bogus"])
+def test_hankel_check_refuses_kinds_without_a_model(kind):
+    """Only the mirabolic and the stabilizer carry the model space; any other
+    kind raises the error of operator_L instead of summing over its cosets."""
+    group, psi, cusps = _setup(3, 2)
+    with pytest.raises(ValueError, match="the model space lives on the mirabolic or the stabilizer"):
+        hankel_check(cusps[0], psi, group.identity(), group.singer_matrix(1), kind)
+
+
 def test_matrices_of_another_group_are_refused():
     """A GL_2(F_4) or GL_3(F_3) matrix given with a GL_2(F_3) cuspidal raises
     instead of giving wrong values (L, the Hankel sum) or an error from deep inside."""
@@ -303,6 +312,10 @@ def test_mat_helpers_refuse_mismatched_shapes():
             mat_eq(a, b)
         with pytest.raises(ValueError):
             mat_mul(a, b)
+    assert mat_trace(small) == 1 and mat_trace(big) == 2
+    for ragged in (((one(),) * 3,) * 2, ((one(),),) * 2):  # 2x3 and 2x1
+        with pytest.raises(ValueError, match="square"):
+            mat_trace(ragged)
 
 
 def test_contragredient_table():
