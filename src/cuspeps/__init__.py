@@ -2,8 +2,8 @@
 
 Finite fields in Zech-log form, exact cyclotomic arithmetic, cuspidal
 characters with brute-force validation oracles, Bessel functions and their
-operator model, and epsilon factors of pairs of level-zero supercuspidal
-representations with a zeta-integral cross-check.
+operator model, epsilon factors of pairs of level-zero supercuspidal
+representations with a zeta-integral cross-check, and their tame transfer.
 
 The public names below are loaded on first access (PEP 562), so that
 ``import cuspeps`` and each CLI subcommand compile only the submodules they
@@ -42,18 +42,18 @@ _EXPORTS = {
     "LevelZeroRep": "epsilon",
     "LFactorSpec": "epsilon",
     "OracleError": "epsilon",
-    "RootOfUnity": "epsilon",
-    "SMonomial": "epsilon",
     "TameTwist": "epsilon",
-    "TransferData": "epsilon",
     "epsilon_pair": "epsilon",
-    "epsilon_transfer": "epsilon",
     "gauss_pair_sum": "epsilon",
     "l_factor_pair": "epsilon",
     "pair_sum_vanishing": "epsilon",
     "twist_ratio_check": "epsilon",
     "whittaker_eval": "epsilon",
     "zeta_tilde_oracle": "epsilon",
+    "RootOfUnity": "transfer",
+    "SMonomial": "transfer",
+    "TransferData": "transfer",
+    "epsilon_transfer": "transfer",
 }
 
 __all__ = list(_EXPORTS)

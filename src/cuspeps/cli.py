@@ -28,18 +28,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .ffield import AdditiveChar, build_field
-
 # Largest character table ``cuspidals`` writes, counted as cuspidals x
 # conjugacy keys x phi(q^r - 1), the most coefficient strings a value can
 # print.  The bound is on time: streamed, the largest table under it,
 # GL_1(F_125) at 922,560, takes 3.1 s of CPU and peaks at 27 MB as JSON;
 # GL_2(F_16), at 2,319,360, takes 8.5 s and 40 MB (Xeon, Python 3.11).
 MAX_TABLE_COEFFS = 10**6
-
-
-class UsageError(Exception):
-    pass
 
 
 def _complex_dict(z: complex) -> dict:
@@ -83,7 +77,7 @@ def _emit(doc, fmt: str, out_path: str | None, csv_headers=(), csv_rows=None):
             with open(out_path, "w", encoding="utf-8") as fh:
                 write(fh)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}") from exc
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _csv_cell(value):
@@ -93,21 +87,22 @@ def _csv_cell(value):
 
 
 def _parse_root(text: str):
-    from .epsilon import RootOfUnity
+    from .transfer import RootOfUnity
 
     try:
         return RootOfUnity.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad root of unity {text!r}; use j/m for zeta_m^j") from exc
+        raise ValueError(f"bad root of unity {text!r}; use j/m for zeta_m^j") from exc
 
 
 def _group_psi(args):
+    from .ffield import AdditiveChar
     from .glq import gl_group
 
     group = gl_group(args.q, args.r)
     psi = AdditiveChar(group.field, args.a)
     if not psi.nontrivial:
-        raise UsageError("additive character shift must be nonzero")
+        raise ValueError("additive character shift must be nonzero")
     return group, psi
 
 
@@ -117,10 +112,12 @@ def _cuspidal(group, exponent: int):
     try:
         return CuspidalRep(group, exponent)
     except ValueError:
-        raise UsageError(f"exponent {exponent} is not regular for q={group.q}, r={group.r}") from None
+        raise ValueError(f"exponent {exponent} is not regular for q={group.q}, r={group.r}") from None
 
 
 def cmd_field(args):
+    from .ffield import build_field
+
     F = build_field(args.p, args.k)
     doc = {"p": F.p, "k": F.k, "q": F.q, "modulus": list(F.modulus), "zech": list(F.zech)}
     _emit(doc, args.format, args.out, ["l", "zech"], lambda d: enumerate(d["zech"]))
@@ -137,7 +134,7 @@ def cmd_cuspidals(args):
     phi = len(cyclotomic_polynomial(group.big_field.q - 1)) - 1
     size = len(cuspidals) * len(class_map) * phi
     if size > MAX_TABLE_COEFFS:
-        raise UsageError(
+        raise ValueError(
             f"the character table of GL_{group.r}(F_{group.q}) holds up to {size} coefficient "
             f"strings ({len(cuspidals)} cuspidals x {len(class_map)} classes x {phi}), "
             f"over {MAX_TABLE_COEFFS}"
@@ -217,7 +214,7 @@ def cmd_epsilon(args):
 
 
 def cmd_transfer(args):
-    from .epsilon import SMonomial, TransferData, epsilon_transfer
+    from .transfer import SMonomial, TransferData, epsilon_transfer
 
     if args.input == "-":
         raw = sys.stdin.read()
@@ -226,11 +223,11 @@ def cmd_transfer(args):
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
+            raise ValueError(f"cannot read {args.input}: {exc}") from exc
     try:
         tame = SMonomial.from_dict(json.loads(raw))
     except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise UsageError(f"bad epsilon JSON on input: {exc}") from exc
+        raise ValueError(f"bad epsilon JSON on input: {exc}") from exc
     data = TransferData(
         r=args.r,
         N=args.N,
@@ -255,10 +252,7 @@ def cmd_verify(args):
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    try:
-        checks = verify.run_suites(names, seed=seed, q=args.q, r=args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    checks = verify.run_suites(names, seed=seed, q=args.q, r=args.r)
     for check in checks:
         sys.stdout.write(check.line() + "\n")
     failed = [c for c in checks if not c.ok]
@@ -365,7 +359,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # the CLI never prints a traceback

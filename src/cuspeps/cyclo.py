@@ -326,7 +326,14 @@ class CycloNumber:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CycloNumber":
-        return cls(int(data["m"]), [Fraction(c) for c in data["coeffs"]])
+        """Read the to_dict form: m a JSON integer, not a float or a boolean,
+        and coeffs a list of strings or integers."""
+        m, coeffs = data["m"], data["coeffs"]
+        if type(m) is not int:
+            raise ValueError(f"'m' must be an integer, got {m!r}")
+        if not isinstance(coeffs, list) or any(type(c) not in (str, int) for c in coeffs):
+            raise ValueError("'coeffs' must be a list of strings or integers")
+        return cls(m, [Fraction(c) for c in coeffs])
 
     def __repr__(self):
         if self.is_rational():

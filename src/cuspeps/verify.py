@@ -27,18 +27,15 @@ from .cyclo import CycloNumber, _mod_phi, root_of_unity, zero
 from .epsilon import (
     LevelZeroRep,
     OracleError,
-    RootOfUnity,
-    SMonomial,
     TameTwist,
-    TransferData,
     epsilon_pair,
-    epsilon_transfer,
     pair_sum_vanishing,
     twist_ratio_check,
     zeta_tilde_oracle,
 )
 from .ffield import ZERO, AdditiveChar, MultChar, build_field, subfield_embed
 from .glq import FULL, MIRABOLIC, SINGER, STABILIZER, UNIPOTENT, GLGroup, Mat, gl_group, row_product
+from .transfer import RootOfUnity, SMonomial, TransferData, epsilon_transfer
 
 DEFAULT_SEED = 20240801
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cuspeps
 from cuspeps import cli
-from cuspeps.epsilon import MAX_ROOT_ORDER, RootOfUnity
+from cuspeps.transfer import MAX_ROOT_ORDER, RootOfUnity
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +109,20 @@ UNIT_EPS = {"coeff": {"m": 1, "coeffs": ["1"]}, "qbase": 3, "half_exp": 0, "s_co
                 ("coeffs-1e400", json.dumps(UNIT_EPS).replace('["1"]', "[1e400]")),
             )
         ),
+        # A float, a boolean or a non-list is refused, not truncated or read
+        # element by element.
+        *(
+            pytest.param(doc, ("--N", "1", "--e", "1", "--r", "1"), id=name)
+            for name, doc in (
+                ("half_exp-1.5", dict(UNIT_EPS, half_exp=1.5)),
+                ("qbase-3.9", dict(UNIT_EPS, qbase=3.9)),
+                ("coeff-m-3.7", dict(UNIT_EPS, coeff={"m": 3.7, "coeffs": ["1"]})),
+                ("half_exp-true", dict(UNIT_EPS, half_exp=True)),
+                ("s_coeff-0.1", dict(UNIT_EPS, s_coeff=0.1)),
+                ("coeffs-string", dict(UNIT_EPS, coeff={"m": 1, "coeffs": "12"})),
+                ("coeffs-object", dict(UNIT_EPS, coeff={"m": 1, "coeffs": {"1": 2}})),
+            )
+        ),
     ],
 )
 def test_transfer_bad_input_is_usage_error(capsys, monkeypatch, doc, sizes):
@@ -123,7 +137,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(tame, data):
         raise OverflowError("forced")
 
-    monkeypatch.setattr("cuspeps.epsilon.epsilon_transfer", broken)
+    monkeypatch.setattr("cuspeps.transfer.epsilon_transfer", broken)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(UNIT_EPS)))
     code, out, err = run_cli(capsys, "transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1")
     assert code == 3 and out == ""
@@ -488,12 +502,16 @@ def test_field_and_transfer_imports(tmp_path):
         (("field", "--p", "2", "--k", "3"), {"dataclasses", "inspect", "cuspeps.glq", "cuspeps.cusp"}),
         (
             ("transfer", "--vnu", "0", "--N", "1", "--e", "1", "--r", "1", "--input", str(path)),
-            {"dataclasses", "inspect", "cuspeps.verify"},
+            {"dataclasses", "inspect", "cuspeps.glq", "cuspeps.cusp", "cuspeps.bessel", "cuspeps.epsilon",
+             "cuspeps.ffield", "cuspeps.verify"},
         ),
     ):
         code, modules = _fresh_modules(CLI_SCRIPT, *argv)
         assert code == 0
         assert modules & not_loaded == set()
+    # transfer is arithmetic on one monomial: it loads no group code at all
+    assert sorted(m for m in modules if m.partition(".")[0] == "cuspeps") == [
+        "cuspeps", "cuspeps._frozen", "cuspeps.cli", "cuspeps.cyclo", "cuspeps.transfer"]
 
 
 def test_oversized_character_table_is_refused(capsys):

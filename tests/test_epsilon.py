@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspeps import epsilon, verify
+from cuspeps import epsilon, transfer, verify
 from cuspeps.bessel import get_evaluator
 from cuspeps.cusp import list_cuspidals
 from cuspeps.cyclo import UNIT, dot, root_of_unity, zero
@@ -71,6 +71,9 @@ def test_smonomial_algebra():
     assert wide.rebase(3) == SMonomial(root_of_unity(3, 1), 3, -2, Fraction(2))
     with pytest.raises(ValueError):
         wide.rebase(2)
+    for base in (1, 0, -3):  # 1 and 0 never reach 9 by multiplying; -3 squares to 9
+        with pytest.raises(ValueError, match="at least 2"):
+            wide.rebase(base)
     with pytest.raises(ValueError):
         a * wide
     assert SMonomial.from_dict(a.to_dict()) == a
@@ -385,12 +388,12 @@ def test_transfer_rebases_tame_side():
 @pytest.mark.parametrize("f", [2, 3, 5, 7, 64])
 def test_integer_root_is_exact(f):
     for base in (2, 3, 10, 2**53 + 1, 10**50 + 7):
-        assert epsilon._integer_root(base**f, f) == base
+        assert transfer._integer_root(base**f, f) == base
         for value in (base**f - 1, base**f + 1):
             with pytest.raises(ValueError):
-                epsilon._integer_root(value, f)
+                transfer._integer_root(value, f)
     with pytest.raises(ValueError):
-        epsilon._integer_root(3, 10**9)  # no base >= 2 is that small
+        transfer._integer_root(3, 10**9)  # no base >= 2 is that small
 
 
 def test_transfer_data_validation():

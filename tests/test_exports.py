@@ -20,7 +20,7 @@ PACKAGE_NAMES = (
 )
 
 
-@pytest.mark.parametrize("name", ["cyclo", "ffield", "glq", "cusp", "bessel", "epsilon"])
+@pytest.mark.parametrize("name", ["cyclo", "ffield", "glq", "cusp", "bessel", "epsilon", "transfer"])
 def test_all_names_resolve(name):
     module = importlib.import_module(f"cuspeps.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
