@@ -33,7 +33,6 @@ _EXPORTS = {
     "inner_product": "cusp",
     "list_cuspidals": "cusp",
     "mirabolic_restriction_check": "cusp",
-    "BesselTable": "bessel",
     "bessel_value": "bessel",
     "build_table": "bessel",
     "contragredient_table": "bessel",

@@ -38,15 +38,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from ._frozen import Frozen, set_field
 from .cyclo import UNIT, CycloNumber, dot, root_of_unity, zero
-from .cusp import CuspidalRep, contragredient
+from .cusp import CuspidalRep
 from .ffield import AdditiveChar, FieldSpec
 from .glq import MIRABOLIC, STABILIZER, UNIPOTENT, GLGroup, Mat, row_product
 
 __all__ = [
     "BesselEvaluator",
-    "BesselTable",
     "bessel_value",
     "build_table",
     "operator_L",
@@ -114,28 +112,10 @@ def bessel_value(sigma: CuspidalRep, psi: AdditiveChar, g: Mat) -> CycloNumber:
     return get_evaluator(sigma, psi)(g.rows)
 
 
-class BesselTable(Frozen):
-    """Complete Bessel values over one subgroup domain."""
-
-    __slots__ = ("sigma", "psi", "domain", "values")
-
-    def __init__(
-        self, sigma: CuspidalRep, psi: AdditiveChar, domain: str, values: dict | None = None
-    ):
-        set_field(self, "sigma", sigma)
-        set_field(self, "psi", psi)
-        set_field(self, "domain", domain)
-        set_field(self, "values", {} if values is None else values)
-
-    def __getitem__(self, g: Mat) -> CycloNumber:
-        return self.values[g]
-
-
-def build_table(sigma: CuspidalRep, psi: AdditiveChar, domain: str) -> BesselTable:
-    """Tabulate J over a whole subgroup (bound-checked by the enumerator)."""
+def build_table(sigma: CuspidalRep, psi: AdditiveChar, domain: str) -> dict:
+    """{g: J(g)} over a whole subgroup, in enumeration order (bound-checked by the enumerator)."""
     ev = get_evaluator(sigma, psi)
-    values = {g: ev(g.rows) for g in sigma.group.iterate(domain)}
-    return BesselTable(sigma, psi, domain, values)
+    return {g: ev(g.rows) for g in sigma.group.iterate(domain)}
 
 
 def _check_model_kind(kind: str) -> None:
@@ -165,17 +145,12 @@ def hankel_check(sigma: CuspidalRep, psi: AdditiveChar, g1: Mat, g2: Mat, kind: 
     return dot((UNIT, ev(prod(a, c_inv.rows)), ev(prod(c.rows, b))) for c, c_inv in reps) == ev(prod(a, b))
 
 
-def contragredient_table(table: BesselTable) -> BesselTable:
-    """J-check(g) = J(g^-1); equals the table of (sigma-check, psi-bar)."""
-    values = {}
-    for g in table.values:
-        g_inv = g.inv()
-        if g_inv not in table.values:
-            raise ValueError("domain is not closed under inversion")
-        values[g] = table.values[g_inv]
-    return BesselTable(
-        contragredient(table.sigma), table.psi.conjugate(), table.domain, values
-    )
+def contragredient_table(table: dict) -> dict:
+    """{g: J(g^-1)} for a table {g: J(g)}: the table of (sigma-check, psi-bar)."""
+    try:
+        return {g: table[g.inv()] for g in table}
+    except KeyError:
+        raise ValueError("domain is not closed under inversion") from None
 
 
 # -- small helpers for matrices of cyclotomic numbers -----------------------

@@ -175,7 +175,7 @@ def cmd_bessel(args):
     table = build_table(sigma, psi, domain)  # exit 2 over the element bound, before any output
     records = (
         {"g": g.serialize(), "value": val.to_dict(), "complex": _complex_dict(val.embed())}
-        for g, val in table.values.items()
+        for g, val in table.items()
     )
 
     def csv_rows(rec):

@@ -14,7 +14,9 @@ factor of a pair reduces to finite data:
   transforms by psi_U under U on both sides and vanishes off a few Bruhat
   monomials n = t*w, so the sum over U\\G is computed as the sum of
   q^len(w) psi(n_{r,1}) J_1(n^-1) J_2(n^-1) over those (q - 1) q^(r-1)
-  monomials (:func:`gauss_pair_sum`): neither G nor U\\G is enumerated.
+  monomials (:func:`gauss_pair_sum`): neither G nor U\\G is enumerated.  The
+  monomials are listed once, in a list closed under inversion, so the sum
+  runs over m = n^-1 and reads psi at the (r,1) entry of m^-1.
 
 * equal sigmas:  eps(s) = w * (t_2/t_1) * q^{r*s - r/2}, and the L-factor is
   (1 - (t_1/t_2) q^{-r*s})^{-1}; for tau_1 = tau_2 this gives eps(1/2)^2 = 1.
@@ -42,7 +44,7 @@ from ._frozen import Frozen, set_field
 from .bessel import get_evaluator
 from .cyclo import UNIT, CycloNumber, dot, one
 from .cusp import CuspidalRep
-from .ffield import AdditiveChar
+from .ffield import ZERO, AdditiveChar
 from .glq import FULL, STABILIZER, GLGroup, Mat, row_product
 from .transfer import RootOfUnity, SMonomial, TransferData, epsilon_transfer
 
@@ -134,19 +136,22 @@ def gauss_pair_sum(
     of order q^len(w).  (n u')_{r,1} = n_{r,1}, and the psi_U(u') that J_1 and
     conj J_2 pick up cancel, so the sum is that of q^len(w) psi(n_{r,1})
     J_1(n^-1) conj J_2(n^-1) over the monomials n where J can be nonzero
-    (:meth:`GLGroup.bessel_support`).  Raises ValueError when that support
-    times |U| exceeds the element bound."""
+    (:meth:`GLGroup.bessel_support`).  That list is closed under inversion,
+    so each listed monomial m is read as n^-1: its term is q^len psi(x)
+    J_1(m) conj J_2(m), x = (m^-1)_{r,1} the inverse of m_{1,r}.  Raises
+    ValueError when that support times |U| exceeds the element bound."""
     if sigma1.group is not sigma2.group:
         raise ValueError("cuspidals live on different groups")
     group = sigma1.group
     _psi_check(group, psi)
-    support = group.bessel_support()
     j1, j2 = get_evaluator(sigma1, psi), get_evaluator(sigma2, psi)
-    q, r = group.q, group.r
-    terms = (
-        (psi.root(n[r - 1][0]), j1(n_inv).scale(q**length), j2(n_inv))
-        for n, n_inv, length in support
-    )
+    F, q, r = group.field, group.q, group.r
+
+    def corner(m):  # (m^-1)_{r,1} of the monomial m
+        x = m[0][r - 1]
+        return x if x == ZERO else F.inv(x)
+
+    terms = ((psi.root(corner(m)), j1(m).scale(q**length), j2(m)) for m, length in group.bessel_support())
     return dot(terms, conjugate=True)
 
 

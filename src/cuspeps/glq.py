@@ -40,10 +40,14 @@ nonzero entry).
 Inside the package a matrix is its row tuple; a :class:`Mat` is the checked
 form a caller passes in or gets back, whose rows ``class_key`` and ``contains``
 hand to :meth:`GLGroup.row_key` (memoized) and :meth:`GLGroup.has_leads`.
-``bessel_support`` lists as rows the monomials t*w (w block anti-diagonal, t
-scalar on each block) off which Bessel functions vanish, with inverses; the
-one row reduction, :func:`_bruhat`, writes g = u1 n u2 (u1, u2 in U, n
-monomial) and also gives the rank that the Jordan types read over GF(q^d).
+``Mat(field, rows)`` refuses (ValueError) rows that are not square or hold
+anything but field logs; rows the package builds itself are wrapped unchecked
+by :func:`_mat`.
+``bessel_support`` lists as rows, each once, the monomials t*w (w block
+anti-diagonal, t scalar on each block) off which Bessel functions vanish; the
+list is closed under inversion.  The one row reduction, :func:`_bruhat`,
+writes g = u1 n u2 (u1, u2 in U, n monomial) and also gives the rank that the
+Jordan types read over GF(q^d).
 
 Products look every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
@@ -86,8 +90,12 @@ class Mat:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: FieldSpec, rows):
+        rows = tuple(tuple(row) for row in rows)
+        logs = range(ZERO, field.q - 1)  # ZERO = -1, then the logs 0..q-2
+        if any(len(row) != len(rows) or not all(type(e) is int and e in logs for e in row) for row in rows):
+            raise ValueError(f"a matrix over GF({field.q}) needs square rows of field logs in {ZERO}..{field.q - 2}")
         self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = rows
 
     @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
@@ -99,10 +107,8 @@ class Mat:
         return len(self.rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        out = object.__new__(Mat)
-        out.field = F = self.field
-        out.rows = row_product(F, len(self.rows))(self.rows, other.rows)
-        return out
+        F = self.field
+        return _mat(F, row_product(F, len(self.rows))(self.rows, other.rows))
 
     def det(self) -> int:
         """(-1)^r times the constant term of the characteristic polynomial."""
@@ -126,7 +132,7 @@ class Mat:
                 if i != col and f != ZERO:  # row i minus f * pivot row
                     times = mul[minus[f]]
                     work[i] = [add[a][times[b]] for a, b in zip(work[i], pivot_row)]
-        return Mat(F, [row[n:] for row in work])
+        return _mat(F, tuple(tuple(row[n:]) for row in work))
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
@@ -139,6 +145,14 @@ class Mat:
 
     def __repr__(self):
         return "Mat(" + "; ".join(",".join(FieldSpec.format_element(e) for e in row) for row in self.rows) + ")"
+
+
+def _mat(field: FieldSpec, rows: tuple) -> Mat:
+    """Wrap a row tuple the package built itself, unchecked."""
+    out = object.__new__(Mat)
+    out.field = field
+    out.rows = rows
+    return out
 
 
 @functools.cache
@@ -413,7 +427,7 @@ class GLGroup:
             return
         F = self.field
         for rows, _ in self._scan(kind):
-            yield Mat(F, rows)
+            yield _mat(F, rows)
 
     def _scan(self, kind: str):
         """(rows, charpoly) of each invertible matrix of a subgroup, in enumeration order.
@@ -553,16 +567,17 @@ class GLGroup:
     # -- support of the Bessel functions -----------------------------------
 
     @functools.cache
-    def bessel_support(self) -> tuple[tuple[tuple, tuple, int], ...]:
-        """(n, n^-1, len(w)), n and n^-1 as rows, for each monomial n = t*w off which every Bessel function vanishes.
+    def bessel_support(self) -> tuple[tuple[tuple, int], ...]:
+        """(n, len(w)), n as rows, for each monomial n = t*w off which every Bessel function vanishes.
 
         For each composition r_1 + ... + r_k of r, w puts identity blocks on
         the block anti-diagonal (row block i in column block k + 1 - i) and t
         is a scalar on each row block: (q - 1) q^(r-1) monomials, len(w) =
-        sum over i < j of r_i r_j.  n^-1 is the monomial of the reversed
-        composition with the inverse scalars, built directly.  A Bessel value
-        sums over U, so the support refuses (ValueError) when it times |U|
-        exceeds ELEMENT_BOUND, before anything is built."""
+        sum over i < j of r_i r_j.  Each monomial is listed once, and the list
+        is closed under inversion: n^-1 is the monomial of the reversed
+        composition with the inverse scalars, of the same len(w).  A Bessel
+        value sums over U, so the support refuses (ValueError) when it times
+        |U| exceeds ELEMENT_BOUND, before anything is built."""
         q, r = self.q, self.r
         size = (q - 1) * q ** (r - 1) * self.subgroup_order(UNIPOTENT)
         if size > ELEMENT_BOUND:
@@ -576,12 +591,11 @@ class GLGroup:
             blocks = list(zip([0, *ends], ends))  # rows lo..hi-1 sit in columns r-hi..r-lo-1
             length = (r * r - sum((hi - lo) ** 2 for lo, hi in blocks)) // 2
             for scalars in itertools.product(range(q - 1), repeat=len(blocks)):
-                n, n_inv = [[ZERO] * r for _ in range(r)], [[ZERO] * r for _ in range(r)]
+                n = [[ZERO] * r for _ in range(r)]
                 for (lo, hi), e in zip(blocks, scalars):
                     for i in range(lo, hi):
                         n[i][r - lo - hi + i] = e
-                        n_inv[r - lo - hi + i][i] = -e % (q - 1)
-                support.append((tuple(map(tuple, n)), tuple(map(tuple, n_inv)), length))
+                support.append((tuple(map(tuple, n)), length))
         return tuple(support)
 
     def bruhat_cell(self, rows) -> tuple[tuple, int]:

@@ -607,7 +607,7 @@ def epsilon_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         checks.append(Check("epsilon", f"{label} |eps(1/2)| = 1", unit_ok))
         checks.append(Check("epsilon", f"{label} same-tau eps(1/2)^2 = 1", square_ok))
     # classical r = 1 reduction: quadratic Gauss sums for q in {3, 5, 7}
-    if q is None or (q in (3, 5, 7) and r in (None, 1)):
+    if q in (None, 3, 5, 7) and r in (None, 1):
         gauss_ok = True
         for p in (3, 5, 7):
             if q is not None and p != q:

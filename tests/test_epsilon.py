@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cuspeps import epsilon, transfer, verify
-from cuspeps.bessel import get_evaluator
+from cuspeps.bessel import bessel_value, get_evaluator
 from cuspeps.cusp import list_cuspidals
 from cuspeps.cyclo import UNIT, dot, root_of_unity, zero
 from cuspeps.epsilon import (
@@ -140,6 +140,28 @@ def test_support_sum_equals_coset_sum(q, r):
         for s2 in cusps:
             if s1 != s2:
                 assert gauss_pair_sum(s1, s2, psi).to_dict() == _coset_gauss_pair_sum(s1, s2, psi).to_dict()
+
+
+def _inverse_support_gauss_pair_sum(sigma1, sigma2, psi):
+    """The sum over the support read at inverses: psi(n_{r,1}) J_1(n^-1) conj J_2(n^-1) q^len(w), n^-1 by Mat.inv."""
+    group = sigma1.group
+    q, r = group.q, group.r
+    terms = []
+    for n, length in group.bessel_support():
+        n_inv = Mat(group.field, n).inv()
+        j1, j2 = bessel_value(sigma1, psi, n_inv), bessel_value(sigma2, psi, n_inv)
+        terms.append((psi.root(n[r - 1][0]), j1.scale(q**length), j2))
+    return dot(terms, conjugate=True)
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_support_sum_equals_inverse_support_sum(q, r):
+    """Value and printed order agree with the support sum read at n^-1 on every ordered distinct pair."""
+    group, psi, cusps = _setup(q, r)
+    for s1 in cusps:
+        for s2 in cusps:
+            if s1 != s2:
+                assert gauss_pair_sum(s1, s2, psi).to_dict() == _inverse_support_gauss_pair_sum(s1, s2, psi).to_dict()
 
 
 @pytest.mark.parametrize("q,r,theta1,theta2", [(5, 3, 1, 2), (3, 4, 1, 2), (2, 5, 1, 3)])
@@ -343,6 +365,13 @@ def test_sampled_oracle_failure_is_reported(monkeypatch):
     monkeypatch.setattr(verify, "zeta_tilde_oracle", broken)
     checks = {c.name: c.ok for c in verify.epsilon_suite(q=4, r=2)}
     assert checks["GL_2(F_4) sampled oracle agreement"] is False
+
+
+def test_rank_one_checks_follow_r():
+    """--r other than 1, with no --q, leaves out the GL_1 checks."""
+    checks = verify.epsilon_suite(r=2)
+    assert len(checks) == 7
+    assert all(c.name.startswith("GL_2(") for c in checks)
 
 
 # -- transfer -----------------------------------------------------------------

@@ -12,8 +12,7 @@ PACKAGE_NAMES = (
     "ClassKey", "GLGroup", "Mat", "gl_group",
     "CuspidalRep", "contragredient", "gelfand_graev_mult", "inner_product", "list_cuspidals",
     "mirabolic_restriction_check",
-    "BesselTable", "bessel_value", "build_table", "contragredient_table", "hankel_check",
-    "operator_L",
+    "bessel_value", "build_table", "contragredient_table", "hankel_check", "operator_L",
     "LevelZeroRep", "LFactorSpec", "OracleError", "RootOfUnity", "SMonomial", "TameTwist",
     "TransferData", "epsilon_pair", "epsilon_transfer", "gauss_pair_sum", "l_factor_pair",
     "pair_sum_vanishing", "twist_ratio_check", "whittaker_eval", "zeta_tilde_oracle",
@@ -27,7 +26,7 @@ def test_all_names_resolve(name):
 
 
 def test_package_names():
-    assert len(PACKAGE_NAMES) == 40
+    assert len(PACKAGE_NAMES) == 39
     assert sorted(cuspeps.__all__) == sorted(PACKAGE_NAMES)
 
 

@@ -682,6 +682,21 @@ def test_matrix_inverse_and_det():
         Mat.from_ints(group.field, [[1, 1], [1, 1]]).inv()
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 0]],  # over GF(3) the logs are 0 and 1; slot 2 would be read as ZERO
+    [[5, 0], [0, 0]],
+    [[-2, 0], [0, 0]],
+    [[0, 0, 1], [0, 0]],  # ragged
+    [[0, 0, 1], [0, 0, 1]],  # not square
+    [[True, ZERO], [ZERO, 0]],
+    [[0.0, ZERO], [ZERO, 0]],
+    [["0", ZERO], [ZERO, 0]],
+])
+def test_mat_refuses_bad_rows(rows):
+    with pytest.raises(ValueError, match="square rows of field logs"):
+        Mat(gl_group(3, 2).field, rows)
+
+
 def test_conjugate_partition():
     assert conjugate_partition([3, 1]) == (2, 1, 1)
     assert conjugate_partition([2, 2]) == (2, 2)

@@ -9,7 +9,6 @@ import pytest
 
 import cuspeps
 from cuspeps._frozen import Frozen
-from cuspeps.bessel import BesselTable
 from cuspeps.cusp import CuspidalRep
 from cuspeps.cyclo import root_of_unity
 from cuspeps.epsilon import (
@@ -47,11 +46,10 @@ RECORDS = {
     "LFactorSpec": (LFactorSpec, (True,), (False,)),
     "TransferData": (TransferData, (1, 2, 2, 1, THIRD), (1, 2, 2, 0, THIRD)),
     "TameTwist": (TameTwist, (0, THIRD, THIRD), (0, THIRD, RootOfUnity(1, 0))),
-    "BesselTable": (BesselTable, (SIGMA1, PSI, "full", {}), (SIGMA1, PSI, "mirabolic", {})),
     "Check": (Check, ("glq", "name", True), ("glq", "name", False)),
 }
-# Hashing follows the fields: a CycloNumber field or a dict makes a record unhashable.
-UNHASHABLE = {"SMonomial", "BesselTable"}
+# Hashing follows the fields: a CycloNumber field makes a record unhashable.
+UNHASHABLE = {"SMonomial"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -127,10 +125,6 @@ def test_reprs():
     assert repr(TransferData(1, 2, 2, 1, THIRD)) == (
         "TransferData(r=1, N=2, e=2, vnu=1, w1=RootOfUnity(order=3, exp=1), "
         "w2=RootOfUnity(order=1, exp=0), zeta=RootOfUnity(order=1, exp=0))"
-    )
-    assert repr(BesselTable(SIGMA1, PSI, "u")) == (
-        f"BesselTable(sigma={SIGMA1!r}, psi=AdditiveChar(field=FieldSpec(GF(3^1)), a=0), "
-        "domain='u', values={})"
     )
 
 
