@@ -349,6 +349,8 @@ def frobenius_orbit(c: int, q: int, modulus: int) -> tuple[int, ...]:
 
 def is_regular_char(theta: MultChar, q: int) -> bool:
     """True when the Frobenius orbit of theta has full length n (q^n = |field|)."""
+    if q < 2:
+        raise ValueError(f"a base must be at least 2, got {q}")
     big = theta.field.q
     n, qq = 0, 1
     while qq < big:

@@ -40,14 +40,16 @@ nonzero entry).
 Inside the package a matrix is its row tuple; a :class:`Mat` is the checked
 form a caller passes in or gets back, whose rows ``class_key`` and ``contains``
 hand to :meth:`GLGroup.row_key` (memoized) and :meth:`GLGroup.has_leads`.
-``Mat(field, rows)`` refuses (ValueError) rows that are not square or hold
-anything but field logs; rows the package builds itself are wrapped unchecked
-by :func:`_mat`.
+``Mat(field, rows)`` refuses (ValueError) rows that are empty, not square or
+hold anything but field logs; rows the package builds itself are wrapped
+unchecked by :func:`_mat`.
 ``bessel_support`` lists as rows, each once, the monomials t*w (w block
 anti-diagonal, t scalar on each block) off which Bessel functions vanish; the
-list is closed under inversion.  The one row reduction, :func:`_bruhat`,
-writes g = u1 n u2 (u1, u2 in U, n monomial) and also gives the rank that the
-Jordan types read over GF(q^d).
+list is closed under inversion.  :func:`_bruhat` writes g = u1 n u2 (u1, u2
+in U, n monomial) and also gives the rank that the Jordan types read over
+GF(q^d).  The only other row reduction is the Gauss-Jordan of ``Mat.inv``: an
+inverse by Cayley-Hamilton through ``_charpoly`` and ``row_product`` took
+twice as long on GL_4(F_2) (60.3 against 29.9 us).
 
 Products look every entry up in the field's q x q tables
 (:meth:`FieldSpec.tables`, slot e < q - 1 for g^e, the last slot for 0 =
@@ -84,18 +86,21 @@ STABILIZER = "stabilizer"
 SINGER = "singer"
 
 
-class Mat:
-    """A square matrix over a fixed GF(q), entries as field logs; hashed by its rows."""
+class Mat(namedtuple("Mat", ("field", "rows"))):
+    """A square matrix over a fixed GF(q), entries as field logs.
 
-    __slots__ = ("field", "rows")
+    A named tuple, as :class:`ClassKey` is: its fields cannot be reassigned,
+    and it hashes and compares in C over (field, rows).  A FieldSpec compares
+    by identity, so matrices over different fields are never equal."""
 
-    def __init__(self, field: FieldSpec, rows):
+    __slots__ = ()
+
+    def __new__(cls, field: FieldSpec, rows):
         rows = tuple(tuple(row) for row in rows)
         logs = range(ZERO, field.q - 1)  # ZERO = -1, then the logs 0..q-2
-        if any(len(row) != len(rows) or not all(type(e) is int and e in logs for e in row) for row in rows):
+        if not rows or any(len(row) != len(rows) or not all(type(e) is int and e in logs for e in row) for row in rows):
             raise ValueError(f"a matrix over GF({field.q}) needs square rows of field logs in {ZERO}..{field.q - 2}")
-        self.field = field
-        self.rows = rows
+        return tuple.__new__(cls, (field, rows))
 
     @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
@@ -107,8 +112,10 @@ class Mat:
         return len(self.rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        F = self.field
-        return _mat(F, row_product(F, len(self.rows))(self.rows, other.rows))
+        F, n = self.field, len(self.rows)
+        if other.field is not F or len(other.rows) != n:
+            raise ValueError("matrices over different fields or of different sizes do not multiply")
+        return _mat(F, row_product(F, n)(self.rows, other.rows))
 
     def det(self) -> int:
         """(-1)^r times the constant term of the characteristic polynomial."""
@@ -134,12 +141,6 @@ class Mat:
                     work[i] = [add[a][times[b]] for a, b in zip(work[i], pivot_row)]
         return _mat(F, tuple(tuple(row[n:]) for row in work))
 
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def serialize(self) -> list[list[str]]:
         return [[FieldSpec.format_element(e) for e in row] for row in self.rows]
 
@@ -148,11 +149,8 @@ class Mat:
 
 
 def _mat(field: FieldSpec, rows: tuple) -> Mat:
-    """Wrap a row tuple the package built itself, unchecked."""
-    out = object.__new__(Mat)
-    out.field = field
-    out.rows = rows
-    return out
+    """Wrap a row tuple of row tuples that the package built itself, unchecked."""
+    return tuple.__new__(Mat, (field, rows))
 
 
 @functools.cache
@@ -271,7 +269,7 @@ def _leads(kind: str, r: int) -> tuple[tuple[int, ...], ...]:
 def _bruhat(F: FieldSpec, rows) -> tuple[list[list[int]], int, int]:
     """(n, s, rank): g = u1 n u2 with u1, u2 in U and s the sum of their
     superdiagonals, by row reduction over the field's (add, mul) tables in
-    O(r^3) lookups; the one row reduction of glq.
+    O(r^3) lookups; every row reduction of glq but ``Mat.inv``.
 
     Row i, from the last up, keeps its first nonzero entry, in column c:
     adding multiples of column c to later columns (g times an elementary
@@ -517,15 +515,14 @@ class GLGroup:
 
     def singer_matrix(self, e: int) -> Mat:
         """The multiplication-by-g^e matrix; a generator image of the Singer embedding."""
-        K, r = self.big_field, self.r
-        e %= K.q - 1
-        cols = [self.singer_coeffs((e + j) % (K.q - 1)) for j in range(r)]
-        return Mat(self.field, [[cols[j][i] for j in range(r)] for i in range(r)])
+        cols = (self.singer_coeffs(e + j) for j in range(self.r))
+        return _mat(self.field, tuple(zip(*cols)))
 
     def singer_decompose(self, g: Mat) -> tuple[int, Mat]:
         """Unique factorization g = x*h with x in the torus, h fixing e_1.
 
         Returns (log of x in GF(q^r), h)."""
+        self.check_matrix(g)
         first_col = tuple(g.rows[i][0] for i in range(self.r))
         x = self._singer()[1][first_col]
         if x == ZERO:
@@ -558,7 +555,7 @@ class GLGroup:
         reps = sorted((rows for rows, _ in built), key=lambda rows: (rows != first, rows))
         expected = self.subgroup_order(kind) // self.subgroup_order(UNIPOTENT)
         assert len(reps) == expected, "coset partition does not tile the subgroup"
-        return tuple(Mat(self.field, rows) for rows in reps)
+        return tuple(_mat(self.field, rows) for rows in reps)
 
     @functools.cache
     def coset_rep_inverses(self, kind: str) -> tuple[Mat, ...]:
@@ -610,6 +607,7 @@ class GLGroup:
 
     def charpoly(self, g: Mat):
         """det(x*I - g) as a monic polynomial over GF(q), low degree first."""
+        self.check_matrix(g)
         return _charpoly(self.field, g.rows)
 
     def class_key(self, g: Mat) -> ClassKey:
@@ -707,7 +705,7 @@ class GLGroup:
         for rows, cp in self._scan(FULL) if missing else ():
             key = self._key_of(cp, rows)
             if key not in table:
-                table[key] = [sizes[key], Mat(self.field, rows)]
+                table[key] = [sizes[key], _mat(self.field, rows)]
                 missing.discard(key)
                 if not missing:
                     break
@@ -715,11 +713,11 @@ class GLGroup:
             raise RuntimeError(f"class_map of GL_{r}(F_{q}): no element found for {sorted(map(str, missing))}")
         for z, key in enumerate(central):
             if key not in table:
-                table[key] = [1, Mat(self.field, [[z if i == j else ZERO for j in range(r)] for i in range(r)])]
+                table[key] = [1, _mat(self.field, tuple(tuple(z if i == j else ZERO for j in range(r)) for i in range(r)))]
         return table
 
     def identity(self) -> Mat:
-        return Mat(self.field, [[0 if i == j else ZERO for j in range(self.r)] for i in range(self.r)])
+        return _mat(self.field, tuple(tuple(0 if i == j else ZERO for j in range(self.r)) for i in range(self.r)))
 
 
 def _prime_power(q: int) -> tuple[int, int]:

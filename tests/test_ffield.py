@@ -145,6 +145,12 @@ def test_is_regular_char():
         is_regular_char(MultChar(f9, 1), 2)
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_is_regular_char_refuses_a_base_below_2(q):
+    with pytest.raises(ValueError, match="at least 2"):
+        is_regular_char(MultChar(build_field(3, 2), 1), q)
+
+
 def test_frobenius_orbits():
     assert frobenius_orbit(1, 3, 8) == (1, 3)
     assert frobenius_orbit(5, 3, 8) == (5, 7)

@@ -691,10 +691,49 @@ def test_matrix_inverse_and_det():
     [[True, ZERO], [ZERO, 0]],
     [[0.0, ZERO], [ZERO, 0]],
     [["0", ZERO], [ZERO, 0]],
+    [],  # r = 0: no determinant, no inverse
 ])
 def test_mat_refuses_bad_rows(rows):
     with pytest.raises(ValueError, match="square rows of field logs"):
         Mat(gl_group(3, 2).field, rows)
+
+
+OTHER_FIELD = Mat(build_field(2), [[0, ZERO], [ZERO, 0]])  # the identity of GL_2(F_2)
+
+
+def test_matrices_over_different_fields_are_unequal():
+    """Equal logs over GF(2) and GF(3) name different matrices."""
+    a, b = OTHER_FIELD, Mat(build_field(3), OTHER_FIELD.rows)
+    assert a.rows == b.rows
+    assert a != b and not a == b
+    table = {a: 2, b: 3}
+    assert len(table) == 2 and table[a] == 2 and table[b] == 3
+
+
+def test_product_refuses_a_matrix_of_another_group():
+    group = gl_group(3, 2)
+    with pytest.raises(ValueError, match="do not multiply"):
+        group.identity() * OTHER_FIELD
+    with pytest.raises(ValueError, match="do not multiply"):  # the same field, another size
+        group.identity() * gl_group(3, 1).identity()
+
+
+@pytest.mark.parametrize("method", ["charpoly", "singer_decompose"])
+def test_refuses_a_matrix_of_another_group(method):
+    with pytest.raises(ValueError, match="not in GL_2"):
+        getattr(gl_group(3, 2), method)(OTHER_FIELD)
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_package_built_matrices_pass_the_row_check(q, r):
+    """Every matrix glq wraps unchecked is one that Mat(field, rows) accepts and equals."""
+    group = gl_group(q, r)
+    built = [group.identity(), *map(group.singer_matrix, range(q**r - 1))]
+    for kind in (FULL, MIRABOLIC, STABILIZER):
+        built += group.coset_reps(kind)
+    built += [rep for _, rep in group.class_map().values()]
+    for g in built:
+        assert Mat(g.field, g.rows) == g
 
 
 def test_conjugate_partition():

@@ -20,8 +20,8 @@ from cuspeps.epsilon import (
     TransferData,
     twist_ratio_check,
 )
-from cuspeps.ffield import AdditiveChar, MultChar, build_field
-from cuspeps.glq import NON_PRIMARY, ClassKey, gl_group
+from cuspeps.ffield import ZERO, AdditiveChar, MultChar, build_field
+from cuspeps.glq import NON_PRIMARY, ClassKey, Mat, gl_group
 from cuspeps.verify import Check
 
 F5 = build_field(5)
@@ -34,6 +34,7 @@ THIRD = RootOfUnity(3, 1)
 # make(*changed) differs from them in one field.
 RECORDS = {
     "ClassKey": (ClassKey, (1, 0, (2, 1)), (1, 0, (1, 1, 1))),
+    "Mat": (Mat, (F5, ((0, ZERO), (ZERO, 0))), (F5, ((0, ZERO), (ZERO, 1)))),
     "AdditiveChar": (AdditiveChar, (F5, 0), (F5, 1)),
     "MultChar": (MultChar, (F5, 1), (F5, 2)),
     "RootOfUnity": (RootOfUnity, (3, 1), (3, 2)),
@@ -71,7 +72,7 @@ def test_equality_and_hash(name):
 def test_fields_are_read_only(name):
     make, fields, _ = RECORDS[name]
     record = make(*fields)
-    field = "d" if name == "ClassKey" else record.__slots__[0]
+    field = record._fields[0] if isinstance(record, tuple) else record.__slots__[0]
     with pytest.raises(AttributeError):
         setattr(record, field, fields[0])
     with pytest.raises(AttributeError):
