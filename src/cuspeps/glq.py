@@ -41,8 +41,9 @@ Inside the package a matrix is its row tuple; a :class:`Mat` is the checked
 form a caller passes in or gets back, whose rows ``class_key`` and ``contains``
 hand to :meth:`GLGroup.row_key` (memoized) and :meth:`GLGroup.has_leads`.
 ``Mat(field, rows)`` refuses (ValueError) rows that are empty, not square or
-hold anything but field logs; rows the package builds itself are wrapped
-unchecked by :func:`_mat`.
+hold anything but field logs, and so do the named tuple's ``_make`` and
+``_replace``; rows the package builds itself are wrapped unchecked by
+:func:`_mat`.
 ``bessel_support`` lists as rows, each once, the monomials t*w (w block
 anti-diagonal, t scalar on each block) off which Bessel functions vanish; the
 list is closed under inversion.  :func:`_bruhat` writes g = u1 n u2 (u1, u2
@@ -103,6 +104,12 @@ class Mat(namedtuple("Mat", ("field", "rows"))):
         return tuple.__new__(cls, (field, rows))
 
     @classmethod
+    def _make(cls, iterable) -> "Mat":
+        """The named tuple's constructor from (field, rows), which ``_replace``
+        also calls: through the row check, like ``Mat(field, rows)``."""
+        return cls(*iterable)
+
+    @classmethod
     def from_ints(cls, field: FieldSpec, rows) -> "Mat":
         """Entries given as prime-field integers (c meaning c*1)."""
         return cls(field, [[field.from_int(c) for c in row] for row in rows])
@@ -111,7 +118,15 @@ class Mat(namedtuple("Mat", ("field", "rows"))):
     def r(self) -> int:
         return len(self.rows)
 
+    def _no_arithmetic(self, other):
+        return NotImplemented
+
+    # tuple's + and repetition would hand back a plain tuple: only Mat * Mat is defined
+    __add__ = __radd__ = __rmul__ = _no_arithmetic
+
     def __mul__(self, other: "Mat") -> "Mat":
+        if not isinstance(other, Mat):
+            return NotImplemented
         F, n = self.field, len(self.rows)
         if other.field is not F or len(other.rows) != n:
             raise ValueError("matrices over different fields or of different sizes do not multiply")

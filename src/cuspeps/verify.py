@@ -15,7 +15,7 @@ from math import lcm
 from operator import add
 
 from ._frozen import Frozen, set_field
-from .bessel import get_evaluator, hankel_check, mat_trace, operator_L
+from .bessel import get_evaluator, operator_L
 from .cusp import (
     contragredient,
     gelfand_graev_mult,
@@ -319,34 +319,159 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
+# numbered values: the arithmetic of the bessel, realization and vanishing suites
+
+
+class _Numbers:
+    """The distinct values of one cuspidal's tables as numbers, with exact
+    sums and products of them over integers.
+
+    Calling the table with a cyclotomic number gives its number: values are
+    numbered by their canonical (m, num, den), and each is written once as the
+    integers of D * value at the common order M and denominator D of every
+    value numbered.  The remainder modulo Phi_M is linear and unique, so a sum
+    of values equals a value exactly when the sums of their integers agree, and
+    the product of two values is the convolution of their integers reduced
+    modulo Phi_M (D^2 times the product), formed at most once per pair.  A
+    value numbered later whose order or denominator does not divide M or D
+    widens them and rewrites the table.  No cyclotomic number is formed per
+    sum or product; tests check each comparison against the same one over
+    :class:`cuspeps.cyclo.CycloNumber` (``bessel.hankel_check``, ``mat_trace``,
+    ``mat_mul`` and ``mat_eq`` among them)."""
+
+    __slots__ = ("_index", "_values", "_ints", "_targets", "_products", "order", "den")
+
+    def __init__(self, values):
+        self._index, self._values, self._products = {}, [], {}
+        for x in values:
+            n = self._index.setdefault((x.m, x.num, x.den), len(self._values))
+            if n == len(self._values):
+                self._values.append(x)
+        self._write(lcm(*(x.m for x in self._values)), lcm(*(x.den for x in self._values)))
+
+    def _write(self, order: int, den: int) -> None:
+        self.order, self.den, self._ints, self._targets = order, den, [], []
+        self._products.clear()
+        for x in self._values:
+            self._add(x)
+
+    def _add(self, x: CycloNumber) -> None:
+        v = tuple(c * (self.den // x.den) for c in x.promote(self.order).num)
+        self._ints.append(v)
+        self._targets.append(tuple(self.den * c for c in v))
+
+    def __call__(self, x: CycloNumber) -> int:
+        key = (x.m, x.num, x.den)
+        n = self._index.get(key)
+        if n is None:
+            n = self._index[key] = len(self._values)
+            self._values.append(x)
+            if self.order % x.m or self.den % x.den:
+                self._write(lcm(self.order, x.m), lcm(self.den, x.den))
+            else:
+                self._add(x)
+        return n
+
+    def _product(self, x: int, y: int) -> tuple:
+        a, b = self._ints[x], self._ints[y]
+        work = [0] * (2 * len(a) - 1)
+        terms = [(j, c) for j, c in enumerate(b) if c]
+        for i, c in enumerate(a):
+            if c:
+                for j, d in terms:
+                    work[i + j] += c * d
+        self._products[x, y] = p = _mod_phi(self.order, work)
+        return p
+
+    def is_sum(self, ns, k: int) -> bool:
+        """Whether the values numbered ``ns`` (at least one) add up to value k."""
+        ints = self._ints
+        return tuple(map(sum, zip(*(ints[n] for n in ns)))) == ints[k]
+
+    def is_product_sum(self, pairs, k: int) -> bool:
+        """Whether x_i x_j summed over the pairs (i, j) (at least one) is value k."""
+        products, acc = self._products, None
+        for pair in pairs:
+            p = products.get(pair) or self._product(*pair)
+            acc = p if acc is None else tuple(map(add, acc, p))
+        return acc == self._targets[k]
+
+    def agree(self, a, b, c) -> bool:
+        """Whether a b == c for three square matrices of value numbers: each
+        entry of a b is the sum of its pair products (inlined, as the hot loop
+        of the realization suite)."""
+        cols, products, targets = list(zip(*b)), self._products, self._targets
+        for row, c_row in zip(a, c, strict=True):
+            for col, k in zip(cols, c_row, strict=True):
+                acc = None
+                for pair in zip(row, col, strict=True):
+                    p = products.get(pair) or self._product(*pair)
+                    acc = p if acc is None else tuple(map(add, acc, p))
+                if acc != targets[k]:
+                    return False
+        return True
+
+
+def _hankel(nums: _Numbers, ev, prod, reps, a: tuple, b: tuple) -> bool:
+    """``bessel.hankel_check`` at the rows a, b over numbered values: the sum of
+    J(a c^-1) J(c b) over the coset representatives (c, c^-1) of ``reps``, as
+    rows, is J(a b)."""
+    pairs = [(nums(ev(prod(a, c_inv))), nums(ev(prod(c, b)))) for c, c_inv in reps]
+    return nums.is_product_sum(pairs, nums(ev(prod(a, b))))
+
+
+def _coset_rows(group: GLGroup, kind: str) -> list:
+    """The coset representatives c of U\\M and their inverses, as pairs of rows."""
+    return [(c.rows, c_inv.rows) for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind))]
+
+
+# ---------------------------------------------------------------------------
 # bessel suite (acceptance criterion 2)
 
 
 def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
+    """J(1) = 1, central and U-equivariance on both sides, support on U and
+    the Hankel identity, for each cuspidal, with ``samples`` all of G.
+
+    Every comparison but J(1) and the support reads J through the evaluator
+    and then works over one numbered table per cuspidal (:class:`_Numbers`:
+    J over ``samples``, then the central values and the psi_U roots).  The sum over
+    U at each sampled g (``ev.direct``) stays the reference: it must equal J(g),
+    which is the check at u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) for
+    every u is checked on the numbers."""
     psi = _std_psi(group)
     cusps = list_cuspidals(group)
     unip = [(u.rows, group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)]
     idm, prod = group.identity(), row_product(group.field, group.r)
+    reps = _coset_rows(group, STABILIZER)
+    zs = [tuple(tuple(z if i == j else ZERO for j in range(group.r)) for i in range(group.r)) for z in range(group.q - 1)]
     for sigma in cusps:
         ev = get_evaluator(sigma, psi)
+        nums = _Numbers(ev(g.rows) for g in samples)
+        centrals = [nums(sigma.central_value(z)) for z in range(group.q - 1)]
+        roots = [(u, nums(pu)) for u, pu in unip]
         ok_one = ev(idm.rows) == 1
         checks.append(Check("bessel", f"{label} J(1)=1 orbit {sigma.orbit[0]}", ok_one))
+
+        def equivariant(x, factor, jg, g):
+            """J(x g) == J(g x) == value ``factor`` times value ``jg``, for rows x and g."""
+            want = ((factor, jg),)
+            return nums.is_product_sum(want, nums(ev(prod(x, g)))) and nums.is_product_sum(
+                want, nums(ev(prod(g, x)))
+            )
+
         scal_ok = True
-        for z in range(group.q - 1):
-            zrows = tuple(tuple(z if i == j else ZERO for j in range(group.r)) for i in range(group.r))
+        for zrows, central in zip(zs, centrals):
             for g in rng.sample(samples, min(150, len(samples))):
-                want = sigma.central_value(z) * ev(g.rows)
-                if ev(prod(zrows, g.rows)) != want or ev(prod(g.rows, zrows)) != want:
+                if not equivariant(zrows, central, nums(ev(g.rows)), g.rows):
                     scal_ok = False
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
         for g in rng.sample(samples, min(150, len(samples))):
-            jg = ev.direct(g.rows)  # ev holds this by construction; compare it with the sum over U
-            for u, pu in unip:
-                want = pu * jg
-                if ev(prod(u, g.rows)) != want or ev(prod(g.rows, u)) != want:
-                    equi_ok = False
-                    break
+            jg = ev(g.rows)
+            # ev holds the sum over U by construction; compare them, then the other u on the numbers
+            if ev.direct(g.rows) != jg or not all(equivariant(u, pu, nums(jg), g.rows) for u, pu in roots):
+                equi_ok = False
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))
         supp_ok = True
         for kind in (MIRABOLIC, STABILIZER):
@@ -362,7 +487,7 @@ def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
         n_pairs = 500 if len(samples) > 36 else len(samples) ** 2
         for _ in range(min(n_pairs, 500)):
             g1, g2 = rng.choice(samples), rng.choice(samples)
-            if not hankel_check(sigma, psi, g1, g2, STABILIZER):
+            if not _hankel(nums, ev, prod, reps, g1.rows, g2.rows):
                 hankel_ok = False
                 break
         checks.append(Check("bessel", f"{label} Hankel identity orbit {sigma.orbit[0]}", hankel_ok))
@@ -410,68 +535,15 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 # realization suite (acceptance criterion 3)
 
 
-def _product_test(mats):
-    """The matrices ``mats`` of cyclotomic numbers as matrices of value numbers,
-    and ``agree(a, b, c)``, which tells for three of them whether a b == c,
-    exactly as ``mat_eq(mat_mul(A, B), C)`` of :mod:`cuspeps.bessel` does.
-
-    The distinct entries are numbered by their canonical (m, num, den), and each
-    is written once as the integers of D * value at the common order M and
-    denominator D.  The product of two values is the convolution of their
-    integers reduced modulo Phi_M (D^2 times the product), formed at most once
-    per pair.  The remainder is linear and unique, so an entry of a b is the
-    sum of its pair products and equals c's entry exactly when that sum is D
-    times c's integers; no cyclotomic number is formed per entry."""
-    index, values, numbered = {}, [], []
-    for a in mats:
-        rows = []
-        for row in a:
-            out = []
-            for x in row:
-                n = index.setdefault((x.m, x.num, x.den), len(values))
-                if n == len(values):
-                    values.append(x)
-                out.append(n)
-            rows.append(tuple(out))
-        numbered.append(tuple(rows))
-    order, den = lcm(*(x.m for x in values)), lcm(*(x.den for x in values))
-    ints = [[c * (den // x.den) for c in x.promote(order).num] for x in values]
-    targets = [tuple(den * c for c in v) for v in ints]
-    products = {}
-
-    def product(x, y):
-        work = [0] * (2 * len(ints[x]) - 1)
-        terms = [(j, c) for j, c in enumerate(ints[y]) if c]
-        for i, c in enumerate(ints[x]):
-            if c:
-                for j, d in terms:
-                    work[i + j] += c * d
-        products[x, y] = p = _mod_phi(order, work)
-        return p
-
-    def agree(a, b, c):
-        cols = list(zip(*b))
-        for row, c_row in zip(a, c, strict=True):
-            for col, k in zip(cols, c_row, strict=True):
-                acc = None
-                for pair in zip(row, col, strict=True):
-                    p = products.get(pair) or product(*pair)
-                    acc = p if acc is None else tuple(map(add, acc, p))
-                if acc != targets[k]:
-                    return False
-        return True
-
-    return numbered, agree
-
-
 def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     """L(1) = id, trace L(g) = chi(g), L(g1) L(g2) = L(g1 g2) on 200 random
     pairs and L(g)[0][0] = J(g), for each cuspidal and each model space.
 
-    The products are checked over the few distinct values of each table
-    (:func:`_product_test`: each pair of values multiplied once, no
-    cyclotomic number per entry); ``bessel.mat_mul`` and ``mat_eq`` are the
-    reference that check is tested against."""
+    The trace, product and pairing-entry checks work over one numbered table
+    per cuspidal (:class:`_Numbers`: J over G, then chi over G): L(g) becomes a
+    matrix of value numbers, its trace is the sum of the diagonal numbers'
+    integers, and each pair of values is multiplied once.  ``bessel.mat_trace``,
+    ``mat_mul`` and ``mat_eq`` are the reference these checks are tested against."""
     rng = random.Random(seed)
     checks = []
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
@@ -480,26 +552,29 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         elems = list(group.elements(FULL))
         label = f"GL_{rr}(F_{qq})"
         prod = row_product(group.field, rr)
+        idm = group.identity().rows
         for sigma in list_cuspidals(group):
             ev = get_evaluator(sigma, psi)
+            nums = _Numbers(ev(g.rows) for g in elems)
+            chis = [nums(sigma.char_at(g)) for g in elems]
             for kind in (MIRABOLIC, STABILIZER):
                 ls = {g.rows: operator_L(sigma, psi, g, kind) for g in elems}  # keyed by rows, which hash in C
-                idm = group.identity().rows
                 ident_ok = all(
                     (ls[idm][i][j] == (1 if i == j else 0))
                     for i in range(len(ls[idm]))
                     for j in range(len(ls[idm]))
                 )
-                trace_ok = all(mat_trace(ls[g.rows]) == sigma.char_at(g) for g in elems)
-                numbered, agree = _product_test(ls.values())
-                ns = dict(zip(ls, numbered))
+                ns = {g: tuple(tuple(map(nums, row)) for row in a) for g, a in ls.items()}
+                trace_ok = all(
+                    nums.is_sum([a[i][i] for i in range(len(a))], chi) for a, chi in zip(ns.values(), chis)
+                )
                 mult_ok = True
                 for _ in range(200):
                     g1, g2 = rng.choice(elems), rng.choice(elems)
-                    if not agree(ns[g1.rows], ns[g2.rows], ns[prod(g1.rows, g2.rows)]):
+                    if not nums.agree(ns[g1.rows], ns[g2.rows], ns[prod(g1.rows, g2.rows)]):
                         mult_ok = False
                         break
-                entry_ok = all(ls[g.rows][0][0] == ev(g.rows) for g in elems)
+                entry_ok = all(nums.is_sum((ns[g.rows][0][0],), nums(ev(g.rows))) for g in elems)
                 checks.append(
                     Check(
                         "realization",
@@ -525,7 +600,7 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         cusps = list_cuspidals(group)
         label = f"GL_{rr}(F_{qq})"
         samples = rng.sample(elems, min(50, len(elems)))
-        inverse_pairs = [(g, g.inv()) for g in samples]
+        inverse_pairs = [(g.rows, g.inv().rows) for g in samples]
         for i, s1 in enumerate(cusps):
             for j, s2 in enumerate(cusps):
                 if i == j:
@@ -539,8 +614,11 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                         f"{len(samples)} sampled g",
                     )
                 )
+        prod, reps = row_product(group.field, rr), _coset_rows(group, STABILIZER)
         for sigma in cusps:
-            ok = all(hankel_check(sigma, psi, g, g_inv, STABILIZER) for g, g_inv in inverse_pairs)
+            ev = get_evaluator(sigma, psi)
+            nums = _Numbers(ev(g.rows) for g in elems)
+            ok = all(_hankel(nums, ev, prod, reps, a, b) for a, b in inverse_pairs)
             checks.append(
                 Check("vanishing", f"{label} same-sigma stabilizer sums orbit {sigma.orbit[0]}", ok)
             )

@@ -698,6 +698,29 @@ def test_mat_refuses_bad_rows(rows):
         Mat(gl_group(3, 2).field, rows)
 
 
+def test_named_tuple_constructors_run_the_row_check():
+    """``_make`` and ``_replace`` build a Mat through Mat(field, rows)."""
+    g = gl_group(3, 2).identity()
+    with pytest.raises(ValueError, match="square rows of field logs"):
+        g._replace(rows=((2, 0), (0, 0)))
+    with pytest.raises(ValueError, match="square rows of field logs"):
+        Mat._make((g.field, [[5]]))
+    for built in (g._replace(rows=[[0, ZERO], [ZERO, 0]]), Mat._make((g.field, [[0, ZERO], [ZERO, 0]]))):
+        assert type(built) is Mat and built == g and type(built.rows[0]) is tuple
+
+
+@pytest.mark.parametrize("operation", [
+    lambda g: g * 3,
+    lambda g: 3 * g,
+    lambda g: g + g,
+    lambda g: g * (g.field, g.rows),
+])
+def test_mat_has_no_tuple_arithmetic(operation):
+    """Only Mat * Mat is defined; tuple's + and repetition would return a plain tuple."""
+    with pytest.raises(TypeError):
+        operation(gl_group(3, 2).identity())
+
+
 OTHER_FIELD = Mat(build_field(2), [[0, ZERO], [ZERO, 0]])  # the identity of GL_2(F_2)
 
 

@@ -1,7 +1,7 @@
 """The realization suite's product check against the matrix helpers of bessel.
 
-``verify.realization_suite`` checks L(g1) L(g2) = L(g1 g2) over the distinct
-values of each table (``verify._product_test``); ``bessel.mat_mul`` and
+``verify.realization_suite`` checks L(g1) L(g2) = L(g1 g2) over the numbered
+values of each cuspidal (``verify._Numbers.agree``); ``bessel.mat_mul`` and
 ``mat_eq`` are its reference.
 """
 
@@ -18,7 +18,7 @@ from cuspeps.glq import FULL, MIRABOLIC, STABILIZER, gl_group
 
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
 def test_product_test_agrees_with_mat_mul(q, r):
-    """For both kinds and every cuspidal, agree(a, b, c) equals
+    """For both kinds and every cuspidal, agree(a, b, c) on value numbers equals
     mat_eq(mat_mul(A, B), C) with C = L(g1 g2), with C = L(h) for a random h,
     and with C = L(g1 g2) with one entry replaced by an entry of L(h)."""
     group = gl_group(q, r)
@@ -38,10 +38,11 @@ def test_product_test_agrees_with_mat_mul(q, r):
                     for k, row in enumerate(c)
                 )
                 triples += [(a, b, c), (a, b, w), (a, b, near)]
-            numbered, agree = verify._product_test(m for t in triples for m in t)
-            for n, (a, b, c) in enumerate(triples):
+            nums = verify._Numbers(x for t in triples for m in t for row in m for x in row)
+            for a, b, c in triples:
                 want = mat_eq(mat_mul(a, b), c)
-                assert agree(*numbered[3 * n:3 * n + 3]) is want
+                numbered = (tuple(tuple(map(nums, row)) for row in m) for m in (a, b, c))
+                assert nums.agree(*numbered) is want
                 outcomes.append(want)
     assert True in outcomes and False in outcomes
 
@@ -66,11 +67,19 @@ def test_one_wrong_off_diagonal_entry_fails_its_model(monkeypatch):
 
 
 def test_suite_multiplies_no_matrix_of_cyclotomic_numbers(monkeypatch):
+    """The suites that check the Bessel model work over numbered values; the
+    cyclotomic helpers of bessel are only the tests' reference."""
     def refuse(*args):
-        raise AssertionError("mat_mul or mat_eq called")
+        raise AssertionError("a cyclotomic matrix helper or hankel_check was called")
 
     for module in (verify, bessel):
-        for name in ("mat_mul", "mat_eq"):
+        for name in ("hankel_check", "mat_trace", "mat_mul", "mat_eq"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    checks = verify.realization_suite()
-    assert len(checks) == 10 and all(c.ok for c in checks)
+    for suite, q, r, n_checks in (
+        ("realization", None, None, 10),
+        ("bessel", 3, 2, 18),
+        ("bessel", 2, 3, 10),
+        ("vanishing", None, None, 13),
+    ):
+        checks = verify.SUITES[suite](q=q, r=r)
+        assert len(checks) == n_checks and all(c.ok for c in checks)
