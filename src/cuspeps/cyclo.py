@@ -8,6 +8,10 @@ given order.  Arithmetic between values of different orders works at the
 least common multiple.  This makes "this character sum vanishes" an exact,
 decidable statement, which the rest of the library relies on.
 
+The module is also the package's one home for integer number theory:
+:func:`_prime_factors` and :func:`_exact_log` answer, for every layer,
+whether q is a prime power p^k or a power of a smaller base.
+
 Products, promotions and conjugates are formed as integer counts on the
 exponents 0..m-1 of zeta (zeta^m = 1) and then reduced by long division,
 touching only nonzero coefficients, by a chain of multiples of Phi_m of
@@ -54,6 +58,8 @@ __all__ = [
 
 
 def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending; [] for m < 2.  The package's
+    one trial division, up to sqrt(m): a caller with a size bound checks it first."""
     out, p = [], 2
     while p * p <= m:
         if m % p == 0:
@@ -64,6 +70,15 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _exact_log(value: int, base: int) -> int | None:
+    """The k >= 0 with base**k == value, or None if there is none (base >= 2)."""
+    k, power = 0, 1
+    while power < value:
+        power *= base
+        k += 1
+    return k if power == value else None
 
 
 @functools.cache
@@ -183,15 +198,6 @@ class CycloNumber:
     def rational(cls, value) -> "CycloNumber":
         value = Fraction(value)
         return _make(1, (value.numerator,), value.denominator)
-
-    @classmethod
-    def zeta_power(cls, m: int, j: int) -> "CycloNumber":
-        if m < 1:
-            raise ValueError("root-of-unity order must be >= 1")
-        j %= m
-        work = [0] * (j + 1)
-        work[j] = 1
-        return _make(m, _mod_phi(m, work), 1)
 
     # -- promotion ----------------------------------------------------
 
@@ -409,7 +415,12 @@ def dot(terms, conjugate: bool = False) -> CycloNumber:
 
 def root_of_unity(m: int, j: int) -> CycloNumber:
     """zeta_m^j in canonical form."""
-    return CycloNumber.zeta_power(m, j)
+    if m < 1:
+        raise ValueError("root-of-unity order must be >= 1")
+    j %= m
+    work = [0] * (j + 1)
+    work[j] = 1
+    return _make(m, _mod_phi(m, work), 1)
 
 
 def zero() -> CycloNumber:

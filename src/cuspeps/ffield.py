@@ -28,7 +28,7 @@ import functools
 from math import gcd
 
 from ._frozen import Frozen, set_field
-from .cyclo import CycloNumber, root_of_unity
+from .cyclo import CycloNumber, _exact_log, _prime_factors, root_of_unity
 
 __all__ = [
     "ZERO",
@@ -43,17 +43,7 @@ __all__ = [
 
 ZERO = -1  # log encoding of the zero element
 MAX_Q = 4096
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+MAX_K = MAX_Q.bit_length() - 1  # 12: p^k >= 2^k > MAX_Q for any larger k
 
 
 def _mul_by_x(vec: list[int], modulus: list[int], p: int) -> list[int]:
@@ -183,10 +173,6 @@ class FieldSpec:
             return ZERO
         return (a * n) % (self.q - 1)
 
-    def frobenius(self, a: int, i: int = 1) -> int:
-        """a -> a^(p^i)."""
-        return self.pow(a, pow(self.p, i, self.q - 1) if a != ZERO else 1)
-
     def one(self) -> int:
         return 0
 
@@ -205,7 +191,7 @@ class FieldSpec:
         """Absolute trace to F_p, returned as an integer in [0, p)."""
         acc = ZERO
         for i in range(self.k):
-            acc = self.add(acc, self.frobenius(a, i))
+            acc = self.add(acc, self.pow(a, self.p**i))  # a^(p^i), Frobenius i times
         return self._prime_decode[acc]
 
     # -- enumeration and formatting --------------------------------------
@@ -224,13 +210,18 @@ class FieldSpec:
 
 
 def build_field(p: int, k: int = 1) -> FieldSpec:
-    """The one GF(p^k) (built on first use) with a verified primitive modulus."""
-    if not _is_prime(p):
+    """The one GF(p^k) (built on first use) with a verified primitive modulus.
+
+    The size bound comes first, so no input factors p or computes p^k above
+    it: k > MAX_K is refused before p^k is formed, then p^k > MAX_Q, and
+    only then is p tested for primality (ValueError in each case)."""
+    if p >= 2 and (k > MAX_K or k >= 1 and p**k > MAX_Q):
+        size = p**k if k <= MAX_K else f"{p}^{k}"
+        raise ValueError(f"field size {size} exceeds the configured bound {MAX_Q}")
+    if _prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > MAX_Q:
-        raise ValueError(f"field size {p**k} exceeds the configured bound {MAX_Q}")
     return _field(p, k)
 
 
@@ -324,18 +315,6 @@ class MultChar(Frozen):
     def eval(self, x: int) -> CycloNumber:
         return root_of_unity(*self.root(x))
 
-    def conjugate(self) -> "MultChar":
-        return MultChar(self.field, -self.c)
-
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if self.field is not other.field:
-            raise ValueError("characters live on different fields")
-        return MultChar(self.field, self.c + other.c)
-
-    @property
-    def trivial(self) -> bool:
-        return self.c == 0
-
 
 def frobenius_orbit(c: int, q: int, modulus: int) -> tuple[int, ...]:
     """Orbit of the exponent c under multiplication by q, sorted."""
@@ -352,10 +331,7 @@ def is_regular_char(theta: MultChar, q: int) -> bool:
     if q < 2:
         raise ValueError(f"a base must be at least 2, got {q}")
     big = theta.field.q
-    n, qq = 0, 1
-    while qq < big:
-        qq *= q
-        n += 1
-    if qq != big:
+    n = _exact_log(big, q)
+    if n is None:
         raise ValueError(f"{big} is not a power of {q}")
     return len(frobenius_orbit(theta.c, q, big - 1)) == n

@@ -66,8 +66,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable
 
-from .cyclo import CycloNumber, root_of_unity
-from .ffield import ZERO, AdditiveChar, FieldSpec, build_field, frobenius_orbit, subfield_embed
+from .cyclo import CycloNumber, _exact_log, _prime_factors, root_of_unity
+from .ffield import MAX_Q, ZERO, AdditiveChar, FieldSpec, build_field, frobenius_orbit, subfield_embed
 
 __all__ = [
     "Mat",
@@ -91,8 +91,10 @@ class Mat(namedtuple("Mat", ("field", "rows"))):
     """A square matrix over a fixed GF(q), entries as field logs.
 
     A named tuple, as :class:`ClassKey` is: its fields cannot be reassigned,
-    and it hashes and compares in C over (field, rows).  A FieldSpec compares
-    by identity, so matrices over different fields are never equal."""
+    and it hashes in C over (field, rows).  It equals only another Mat with
+    the same field and rows, never a plain (field, rows) tuple, so the two are
+    distinct dict keys.  A FieldSpec compares by identity, so matrices over
+    different fields are never equal."""
 
     __slots__ = ()
 
@@ -118,11 +120,23 @@ class Mat(namedtuple("Mat", ("field", "rows"))):
     def r(self) -> int:
         return len(self.rows)
 
+    def __eq__(self, other):
+        return isinstance(other, Mat) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not isinstance(other, Mat) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
     def _no_arithmetic(self, other):
         return NotImplemented
 
     # tuple's + and repetition would hand back a plain tuple: only Mat * Mat is defined
-    __add__ = __radd__ = __rmul__ = _no_arithmetic
+    __add__ = __rmul__ = _no_arithmetic
+
+    def __radd__(self, other):
+        # Python tries this before tuple + Mat, and NotImplemented would let that concatenate.
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Mat'")
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -735,22 +749,20 @@ class GLGroup:
         return _mat(self.field, tuple(tuple(0 if i == j else ZERO for j in range(self.r)) for i in range(self.r)))
 
 
-def _prime_power(q: int) -> tuple[int, int]:
+def gl_group(q: int, r: int) -> GLGroup:
+    """The one GLGroup instance for GL_r(F_q).
+
+    q must be a prime power p^k no larger than ``ffield.MAX_Q``, and the
+    bound is checked before q is factored; GF(q^r) is then bounded by
+    :func:`~cuspeps.ffield.build_field` (ValueError in each case)."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k, qq = 0, 1
-    while qq < q:
-        qq *= p
-        k += 1
-    if qq != q:
+    if q > MAX_Q:
+        raise ValueError(f"field size {q} exceeds the configured bound {MAX_Q}")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return p, k
-
-
-def gl_group(q: int, r: int) -> GLGroup:
-    """The one GLGroup instance for GL_r(F_q)."""
-    return _group(*_prime_power(q), r)
+    return _group(primes[0], _exact_log(q, primes[0]), r)
 
 
 @functools.cache

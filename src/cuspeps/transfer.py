@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._frozen import Frozen, set_field
-from .cyclo import CycloNumber, root_of_unity
+from .cyclo import CycloNumber, _exact_log, root_of_unity
 
 __all__ = [
     "RootOfUnity",
@@ -129,11 +129,8 @@ class SMonomial(Frozen):
             raise ValueError(f"a base must be at least 2, got {new_qbase}")
         if new_qbase == self.qbase:
             return self
-        f, qq = 0, 1
-        while qq < self.qbase:
-            qq *= new_qbase
-            f += 1
-        if qq != self.qbase:
+        f = _exact_log(self.qbase, new_qbase)
+        if f is None:
             raise ValueError(f"{self.qbase} is not a power of {new_qbase}")
         return SMonomial(self.coeff, new_qbase, self.half_exp * f, self.s_coeff * f)
 
@@ -226,21 +223,20 @@ def epsilon_transfer(eps_tame: SMonomial, data: TransferData) -> SMonomial:
 
     Multiplies by zeta * w1 * w2 * q^{(s - 1/2) * r * vnu * N / e}."""
     f = data.N // (data.e * data.r)
-    base = _integer_root(eps_tame.qbase, f)
-    rebased = eps_tame.rebase(base)
+    base = _integer_root(eps_tame.qbase, f)  # q_E = base^f: rebasing multiplies the exponents by f
     shift = data.r * data.vnu * data.N // data.e
     weight = data.zeta * data.w1 * data.w2
-    order = lcm(rebased.coeff.m, weight.order)
+    order = lcm(eps_tame.coeff.m, weight.order)
     if order > MAX_COEFF_ORDER:
         raise ValueError(
             f"the weight zeta*w1*w2 of order {weight.order} times a coefficient of order "
-            f"{rebased.coeff.m} has order {order}, over {MAX_COEFF_ORDER}"
+            f"{eps_tame.coeff.m} has order {order}, over {MAX_COEFF_ORDER}"
         )
     return SMonomial(
-        rebased.coeff * weight.value(),
+        eps_tame.coeff * weight.value(),
         base,
-        rebased.half_exp - shift,
-        rebased.s_coeff + shift,
+        eps_tame.half_exp * f - shift,
+        eps_tame.s_coeff * f + shift,
     )
 
 

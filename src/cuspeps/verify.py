@@ -23,7 +23,7 @@ from .cusp import (
     list_cuspidals,
     mirabolic_restriction_check,
 )
-from .cyclo import CycloNumber, _mod_phi, root_of_unity, zero
+from .cyclo import CycloNumber, _mod_phi, _prime_factors, root_of_unity, zero
 from .epsilon import (
     LevelZeroRep,
     OracleError,
@@ -75,6 +75,12 @@ def _groups(pairs, q=None, r=None):
 
 # ---------------------------------------------------------------------------
 # field suite
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), n >= 1: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    primes = _prime_factors(n)
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 def field_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
@@ -142,26 +148,13 @@ def field_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                 ok = False
         checks.append(Check("field", f"embedding GF({pa}^{ka}) -> GF({pb}^{kb})", ok))
     # regular-orbit counts match the necklace formula
-    def mobius(n):
-        out, m, p2 = 1, n, 2
-        while p2 * p2 <= m:
-            if m % p2 == 0:
-                m //= p2
-                if m % p2 == 0:
-                    return 0
-                out = -out
-            p2 += 1
-        if m > 1:
-            out = -out
-        return out
-
     for qq in (2, 3, 4, 5):
         for n in (1, 2, 3):
             if qq**n > 4096:
                 continue
             group = gl_group(qq, n)
             count = len(list_cuspidals(group))
-            expect = sum(mobius(n // d) * (qq**d - 1) for d in range(1, n + 1) if n % d == 0) // n
+            expect = sum(_mobius(n // d) * (qq**d - 1) for d in range(1, n + 1) if n % d == 0) // n
             checks.append(
                 Check("field", f"regular orbit count q={qq} n={n}", count == expect, f"{count}")
             )

@@ -184,6 +184,34 @@ def test_epsilon_work_bound_exits_2(capsys, q, r, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+def _address_space_1gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["field", "--p", "2305843009213693951"], "2305843009213693951"),
+    (["cuspidals", "--q", "1000000007", "--r", "1"], "1000000007"),
+    (["verify", "--suite", "cusp", "--q", "1000000007", "--r", "1"], "1000000007"),
+    (["field", "--p", "2", "--k", "100000000"], "2^100000000"),
+    (["cuspidals", "--q", "2", "--r", "100000000"], "2^100000000"),
+    (["field", "--p", "2", "--k", "1000000000000"], "2^1000000000000"),
+])
+def test_oversized_field_is_refused_before_factoring(argv, size):
+    """The size bound is checked before p or q is factored and before p^k is
+    formed, so each of these exits 2 at once instead of trial-dividing up to
+    sqrt(q) or building a huge p^k.  A fresh process under a 1 GB address-space
+    limit and a timeout, so a regression fails instead of exhausting memory."""
+    script = "import sys; from cuspeps.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True,
+        timeout=10, preexec_fn=_address_space_1gb,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: field size {size} exceeds the configured bound 4096\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

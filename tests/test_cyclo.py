@@ -392,3 +392,33 @@ def test_dot_psi_at_trace_zero():
     value = dot([(psi.root(x), one(), None)])
     assert value.to_dict() == psi.eval(x).to_dict() == {"m": 2, "coeffs": ["1"]}
     assert dot([(psi.root(ZERO), one(), None)]).m == 1
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = [True] * n
+    for p in range(2, n):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    return [p for p in range(2, n) if sieve[p]]
+
+
+def test_prime_factors_match_a_sieve():
+    """The distinct primes of n, ascending, for every n below 5000; none for n < 2."""
+    primes = _primes_below(5000)
+    for n in range(2, 5000):
+        assert cyclo._prime_factors(n) == [p for p in primes if n % p == 0]
+    for n in (1, 0, -1, -2, -12, -4999):
+        assert cyclo._prime_factors(n) == []
+
+
+def test_exact_log_matches_powers():
+    """_exact_log(value, base) is the k with base**k == value, else None, for
+    bases 2..64 at the powers, their neighbours and every value up to 300."""
+    for base in range(2, 65):
+        values = set(range(-2, 301))
+        for k in range(40):
+            values |= {base**k - 1, base**k, base**k + 1}
+        for value in values:
+            expect = next((k for k in range(value.bit_length() + 1) if base**k == value), None)
+            assert cyclo._exact_log(value, base) == expect

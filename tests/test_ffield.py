@@ -1,5 +1,6 @@
 import pytest
 
+from cuspeps import ffield, verify
 from cuspeps.cyclo import root_of_unity
 from cuspeps.ffield import (
     ZERO,
@@ -31,6 +32,48 @@ def test_build_field_errors():
         build_field(4, 1)
     with pytest.raises(ValueError):
         build_field(2, 13)  # 8192 over the default cap
+
+
+def test_build_field_refuses_every_non_prime_below_5000(monkeypatch):
+    """Primes up to the bound reach _field; every other p is refused, p above the
+    bound before it is factored.  _field is replaced, so no field is built."""
+    monkeypatch.setattr(ffield, "_field", lambda p, k: (p, k))
+    for p in range(-2, 5000):
+        prime = p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+        if p > 4096:
+            message = f"field size {p} exceeds the configured bound 4096"
+        elif not prime:
+            message = f"{p} is not prime"
+        else:
+            assert build_field(p) == (p, 1)
+            continue
+        with pytest.raises(ValueError) as info:
+            build_field(p)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (2, 12, None),
+    (61, 2, None),
+    (2, 13, "field size 2^13 exceeds the configured bound 4096"),
+    (65, 2, "field size 4225 exceeds the configured bound 4096"),
+    (4, 7, "field size 16384 exceeds the configured bound 4096"),  # over the bound before p is factored
+    (3, 10**8, "field size 3^100000000 exceeds the configured bound 4096"),  # p^k is never formed
+    (4, 6, "4 is not prime"),
+    (4, 0, "4 is not prime"),
+    (1, 100, "1 is not prime"),
+    (-3, 13, "-3 is not prime"),
+    (3, 0, "extension degree must be >= 1"),
+    (2, -5, "extension degree must be >= 1"),
+])
+def test_build_field_checks_the_bound_first(monkeypatch, p, k, message):
+    monkeypatch.setattr(ffield, "_field", lambda p, k: (p, k))
+    if message is None:
+        assert build_field(p, k) == (p, k)
+    else:
+        with pytest.raises(ValueError) as info:
+            build_field(p, k)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 1)])
@@ -163,3 +206,12 @@ def test_prime_field_roundtrip():
         assert F.to_int(F.from_int(c)) == c
     with pytest.raises(ValueError):
         F.to_int(1)  # the generator of GF(25) is not in GF(5)
+
+
+def test_field_suite_mobius_matches_the_divisor_sum():
+    """verify._mobius, which the necklace counts of the field suite use, is mu(n)
+    for n <= 1000: the values with sum_{d | n} mu(d) = [n == 1], built up from mu(1) = 1."""
+    mu = {1: 1}
+    for n in range(2, 1001):
+        mu[n] = -sum(mu[d] for d in range(1, n) if n % d == 0)
+    assert all(verify._mobius(n) == mu[n] for n in mu)

@@ -714,11 +714,60 @@ def test_named_tuple_constructors_run_the_row_check():
     lambda g: 3 * g,
     lambda g: g + g,
     lambda g: g * (g.field, g.rows),
+    lambda g: (1,) + g,  # Mat.__radd__ runs before tuple's own +
+    lambda g: (g.field, g.rows) + g,
 ])
 def test_mat_has_no_tuple_arithmetic(operation):
     """Only Mat * Mat is defined; tuple's + and repetition would return a plain tuple."""
     with pytest.raises(TypeError):
         operation(gl_group(3, 2).identity())
+
+
+def test_mat_never_equals_a_plain_tuple():
+    """A Mat equals another Mat of the same field and rows, not its (field, rows) tuple,
+    from either side and under either operator, and the two are distinct dict keys."""
+    g = gl_group(3, 2).identity()
+    pair = (g.field, g.rows)
+    assert not g == pair and not pair == g
+    assert g != pair and pair != g
+    assert g == Mat(g.field, g.rows) and not g != Mat(g.field, g.rows)
+    assert hash(g) == hash(pair)  # hashing stays tuple's own
+    table = {g: 1, pair: 2}
+    assert len(table) == 2 and table[g] == 1 and table[pair] == 2
+    assert pair not in {g: 1}
+
+
+def _brute_prime_power(q):
+    """(p, k) with p prime and p**k == q, by trying every divisor; None if there is none."""
+    for p in range(2, q + 1):
+        if q % p == 0:  # the least divisor >= 2 is prime
+            k, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            return (p, k) if rest == 1 else None
+    return None
+
+
+def test_gl_group_classifies_every_q_below_5000(monkeypatch):
+    """Prime powers up to the bound reach _group as (p, k, r); every other q is refused
+    with today's message, and q above the bound before it is factored.  _group is
+    replaced, so no field is built."""
+    monkeypatch.setattr(glq, "_group", lambda p, k, r: (p, k, r))
+    for q in range(-2, 5000):
+        expect = _brute_prime_power(q) if q >= 2 else None
+        if q < 2:
+            message = "q must be a prime power >= 2"
+        elif q > 4096:
+            message = f"field size {q} exceeds the configured bound 4096"
+        elif expect is None:
+            message = f"{q} is not a prime power"
+        else:
+            assert gl_group(q, 2) == (*expect, 2)
+            continue
+        with pytest.raises(ValueError) as info:
+            gl_group(q, 2)
+        assert str(info.value) == message
 
 
 OTHER_FIELD = Mat(build_field(2), [[0, ZERO], [ZERO, 0]])  # the identity of GL_2(F_2)
