@@ -15,7 +15,7 @@ from math import lcm
 from operator import add
 
 from ._frozen import Frozen, set_field
-from .bessel import get_evaluator, operator_L
+from .bessel import get_evaluator
 from .cusp import (
     contragredient,
     gelfand_graev_mult,
@@ -312,25 +312,83 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# numbered values: the arithmetic of the bessel, realization and vanishing suites
+# numbered elements and values: the arithmetic of the bessel, realization and
+# vanishing suites
+
+# Products by a fixed factor are kept, each formed once, on groups of at most
+# this many elements: a list of |G| numbers per factor.
+MEMO_ELEMENTS = 2048
+
+
+class _Elements:
+    """The elements of one group numbered once, in ``elements(FULL)`` order.
+
+    ``rows[x]`` are the rows of element x and ``number[rows]`` is x, so the
+    product of two elements is one call of the group's bound kernel
+    (:func:`cuspeps.glq.row_product`) and one lookup keyed by rows: ``mul(x,
+    y)`` is the number of x y.  ``left(f)`` and ``right(f)`` are read at an
+    element number g and give the numbers of f g and g f for a fixed factor f
+    (a coset representative or its inverse, an element of U, z I).  On a group
+    of at most ``MEMO_ELEMENTS`` elements they are lists, each product formed
+    once; on a larger one each read forms its product, so that the memory of
+    the numbering stays one dict and one list of |G| entries."""
+
+    __slots__ = ("rows", "number", "_prod")
+
+    def __init__(self, group: GLGroup):
+        self.rows = [g.rows for g in group.elements(FULL)]
+        self.number = {rows: x for x, rows in enumerate(self.rows)}
+        self._prod = row_product(group.field, group.r)
+
+    def mul(self, x: int, y: int) -> int:
+        return self.number[self._prod(self.rows[x], self.rows[y])]
+
+    def left(self, f: int):
+        """The numbers of f g, indexed by g."""
+        if len(self.rows) > MEMO_ELEMENTS:
+            return _Products(self, f, True)
+        number, prod, a = self.number, self._prod, self.rows[f]
+        return [number[prod(a, b)] for b in self.rows]
+
+    def right(self, f: int):
+        """The numbers of g f, indexed by g."""
+        if len(self.rows) > MEMO_ELEMENTS:
+            return _Products(self, f, False)
+        number, prod, b = self.number, self._prod, self.rows[f]
+        return [number[prod(a, b)] for a in self.rows]
+
+
+class _Products:
+    """``_Elements.left`` or ``right`` of a large group: each read forms its product."""
+
+    __slots__ = ("_els", "_f", "_left")
+
+    def __init__(self, els: _Elements, f: int, left: bool):
+        self._els, self._f, self._left = els, f, left
+
+    def __getitem__(self, g: int) -> int:
+        f, els = self._f, self._els
+        return els.mul(f, g) if self._left else els.mul(g, f)
 
 
 class _Numbers:
     """The distinct values of one cuspidal's tables as numbers, with exact
     sums and products of them over integers.
 
-    Calling the table with a cyclotomic number gives its number: values are
-    numbered by their canonical (m, num, den), and each is written once as the
-    integers of D * value at the common order M and denominator D of every
-    value numbered.  The remainder modulo Phi_M is linear and unique, so a sum
-    of values equals a value exactly when the sums of their integers agree, and
-    the product of two values is the convolution of their integers reduced
-    modulo Phi_M (D^2 times the product), formed at most once per pair.  A
-    value numbered later whose order or denominator does not divide M or D
-    widens them and rewrites the table.  No cyclotomic number is formed per
-    sum or product; tests check each comparison against the same one over
-    :class:`cuspeps.cyclo.CycloNumber` (``bessel.hankel_check``, ``mat_trace``,
-    ``mat_mul`` and ``mat_eq`` among them)."""
+    The suites read J once per element, through the evaluator, into a list
+    indexed by element number (:class:`_Elements`), and number each value by
+    calling the table with it: values are numbered by their canonical (m, num,
+    den), and each is written once as the integers of D * value at the common
+    order M and denominator D of every value numbered.  The remainder modulo
+    Phi_M is linear and unique, so a sum of values equals a value exactly when
+    the sums of their integers agree, and the product of two values is the
+    convolution of their integers reduced modulo Phi_M (D^2 times the
+    product), formed at most once per pair.  A value numbered later whose order
+    or denominator does not divide M or D widens them and rewrites the table.
+    No cyclotomic number is formed per sum or product; tests check each
+    comparison against the same one over :class:`cuspeps.cyclo.CycloNumber`
+    (``bessel.hankel_check``, ``mat_trace``, ``mat_mul`` and ``mat_eq`` among
+    them)."""
 
     __slots__ = ("_index", "_values", "_ints", "_targets", "_products", "order", "den")
 
@@ -405,82 +463,101 @@ class _Numbers:
         return True
 
 
-def _hankel(nums: _Numbers, ev, prod, reps, a: tuple, b: tuple) -> bool:
-    """``bessel.hankel_check`` at the rows a, b over numbered values: the sum of
-    J(a c^-1) J(c b) over the coset representatives (c, c^-1) of ``reps``, as
-    rows, is J(a b)."""
-    pairs = [(nums(ev(prod(a, c_inv))), nums(ev(prod(c, b)))) for c, c_inv in reps]
-    return nums.is_product_sum(pairs, nums(ev(prod(a, b))))
+def _bessel_numbers(ev, els: _Elements):
+    """J at every element, read through the evaluator, as a list by element
+    number; the table numbering those values; and their numbers, by element."""
+    values = [ev(rows) for rows in els.rows]
+    nums = _Numbers(values)
+    return values, nums, list(map(nums, values))
 
 
-def _coset_rows(group: GLGroup, kind: str) -> list:
-    """The coset representatives c of U\\M and their inverses, as pairs of rows."""
-    return [(c.rows, c_inv.rows) for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind))]
+def _coset_products(els: _Elements, group: GLGroup, kind: str) -> list:
+    """(``left(c)``, ``right(c^-1)``) for each coset representative c of U\\M."""
+    number = els.number
+    return [
+        (els.left(number[c.rows]), els.right(number[c_inv.rows]))
+        for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
+    ]
+
+
+def _hankel(nums: _Numbers, js, els: _Elements, reps, a: int, b: int) -> bool:
+    """``bessel.hankel_check`` at the elements numbered a, b over numbered
+    values: the sum of J(a c^-1) J(c b) over the coset representatives c of
+    ``reps`` (from :func:`_coset_products`) is J(a b); ``js`` holds the
+    number of J at each element."""
+    pairs = [(js[right[a]], js[left[b]]) for left, right in reps]
+    return nums.is_product_sum(pairs, js[els.mul(a, b)])
 
 
 # ---------------------------------------------------------------------------
 # bessel suite (acceptance criterion 2)
 
 
-def _bessel_property_checks(group: GLGroup, samples, checks, label, rng):
+def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
     """J(1) = 1, central and U-equivariance on both sides, support on U and
-    the Hankel identity, for each cuspidal, with ``samples`` all of G.
+    the Hankel identity, for each cuspidal, over all of G (``els``).
 
-    Every comparison but J(1) and the support reads J through the evaluator
-    and then works over one numbered table per cuspidal (:class:`_Numbers`:
-    J over ``samples``, then the central values and the psi_U roots).  The sum over
-    U at each sampled g (``ev.direct``) stays the reference: it must equal J(g),
-    which is the check at u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) for
-    every u is checked on the numbers."""
+    The group side is built once and shared by every cuspidal: the products
+    by z I, by each u in U and by the stabilizer's coset representatives, as
+    element numbers (:class:`_Elements`), and which elements of the mirabolic
+    and the stabilizer lie in U, with their psi_U.  Each cuspidal reads J once
+    per element through the evaluator and numbers the values
+    (:class:`_Numbers`: J over G, then the central values and the psi_U
+    roots); samples are drawn as element numbers, at the positions that
+    drawing the elements themselves would pick.  The sum over U at each
+    sampled g (``ev.direct``) stays the reference: it must equal J(g), which is
+    the check at u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) for every u is
+    checked on the numbers."""
     psi = _std_psi(group)
-    cusps = list_cuspidals(group)
-    unip = [(u.rows, group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)]
-    idm, prod = group.identity(), row_product(group.field, group.r)
-    reps = _coset_rows(group, STABILIZER)
-    zs = [tuple(tuple(z if i == j else ZERO for j in range(group.r)) for i in range(group.r)) for z in range(group.q - 1)]
-    for sigma in cusps:
+    n, number, rr = len(els.rows), els.number, group.r
+    unip = [
+        (els.left(number[u.rows]), els.right(number[u.rows]), group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)
+    ]
+    scalars = []
+    for z in range(group.q - 1):
+        x = number[tuple(tuple(z if i == j else ZERO for j in range(rr)) for i in range(rr))]
+        scalars.append((els.left(x), els.right(x)))
+    reps = _coset_products(els, group, STABILIZER)
+    support = [
+        (number[m.rows], group.psi_u(m, psi) if group.contains(UNIPOTENT, m) else None)
+        for kind in (MIRABOLIC, STABILIZER)
+        for m in group.iterate(kind)
+    ]
+    k = min(150, n)
+    for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
-        nums = _Numbers(ev(g.rows) for g in samples)
+        values, nums, js = _bessel_numbers(ev, els)
         centrals = [nums(sigma.central_value(z)) for z in range(group.q - 1)]
-        roots = [(u, nums(pu)) for u, pu in unip]
-        ok_one = ev(idm.rows) == 1
+        roots = [(left, right, nums(pu)) for left, right, pu in unip]
+        ok_one = ev(group.identity().rows) == 1
         checks.append(Check("bessel", f"{label} J(1)=1 orbit {sigma.orbit[0]}", ok_one))
 
-        def equivariant(x, factor, jg, g):
-            """J(x g) == J(g x) == value ``factor`` times value ``jg``, for rows x and g."""
-            want = ((factor, jg),)
-            return nums.is_product_sum(want, nums(ev(prod(x, g)))) and nums.is_product_sum(
-                want, nums(ev(prod(g, x)))
-            )
+        def equivariant(factor, left, right, g):
+            """J(x g) == J(g x) == value ``factor`` times J(g), x the fixed factor of ``left`` and ``right``."""
+            want = ((factor, js[g]),)
+            return nums.is_product_sum(want, js[left[g]]) and nums.is_product_sum(want, js[right[g]])
 
         scal_ok = True
-        for zrows, central in zip(zs, centrals):
-            for g in rng.sample(samples, min(150, len(samples))):
-                if not equivariant(zrows, central, nums(ev(g.rows)), g.rows):
+        for (left, right), central in zip(scalars, centrals):
+            for g in rng.sample(range(n), k):
+                if not equivariant(central, left, right, g):
                     scal_ok = False
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
-        for g in rng.sample(samples, min(150, len(samples))):
-            jg = ev(g.rows)
+        for g in rng.sample(range(n), k):
             # ev holds the sum over U by construction; compare them, then the other u on the numbers
-            if ev.direct(g.rows) != jg or not all(equivariant(u, pu, nums(jg), g.rows) for u, pu in roots):
+            if ev.direct(els.rows[g]) != values[g] or not all(
+                equivariant(pu, left, right, g) for left, right, pu in roots
+            ):
                 equi_ok = False
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))
-        supp_ok = True
-        for kind in (MIRABOLIC, STABILIZER):
-            for m in group.iterate(kind):
-                v = ev(m.rows)
-                if group.contains(UNIPOTENT, m):
-                    if v != group.psi_u(m, psi):
-                        supp_ok = False
-                elif not v.is_zero():
-                    supp_ok = False
+        supp_ok = all(values[x] == pu if pu is not None else values[x].is_zero() for x, pu in support)
         checks.append(Check("bessel", f"{label} support on U orbit {sigma.orbit[0]}", supp_ok))
         hankel_ok = True
-        n_pairs = 500 if len(samples) > 36 else len(samples) ** 2
+        n_pairs = 500 if n > 36 else n**2
         for _ in range(min(n_pairs, 500)):
-            g1, g2 = rng.choice(samples), rng.choice(samples)
-            if not _hankel(nums, ev, prod, reps, g1.rows, g2.rows):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if not _hankel(nums, js, els, reps, a, b):
                 hankel_ok = False
                 break
         checks.append(Check("bessel", f"{label} Hankel identity orbit {sigma.orbit[0]}", hankel_ok))
@@ -492,9 +569,8 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     groups = _groups(((2, 2),) + BESSEL_SAMPLED, q, r)
     for qq, rr in groups:
         group = gl_group(qq, rr)
-        elems = list(group.elements(FULL))
         label = f"GL_{rr}(F_{qq})"
-        _bessel_property_checks(group, elems, checks, label, rng)
+        _bessel_property_checks(group, _Elements(group), checks, label, rng)
     if (2, 2) in groups:
         # the unique cuspidal of GL_2(F_2) is the sign character of S_3
         group = gl_group(2, 2)
@@ -528,46 +604,64 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 # realization suite (acceptance criterion 3)
 
 
+def _entry_table(els: _Elements, group: GLGroup, kind: str) -> list:
+    """The entries of L(g) = (J(c_i g c_j^-1)), c_i the coset representatives
+    of U\\M, as element numbers: for each element number g, the matrix of the
+    numbers of c_i g c_j^-1.  ``bessel.operator_L`` is its reference."""
+    number = els.number
+    lefts = [els.left(number[c.rows]) for c in group.coset_reps(kind)]
+    rights = [els.right(number[c.rows]) for c in group.coset_rep_inverses(kind)]
+    return [
+        tuple(tuple(right[cg] for right in rights) for cg in [left[g] for left in lefts])
+        for g in range(len(els.rows))
+    ]
+
+
+def _operators(table: list, js) -> list:
+    """L(g) for each element number g as a matrix of value numbers: the entry
+    table read through ``js``, the number of J at each element."""
+    return [tuple(tuple(js[x] for x in row) for row in entries) for entries in table]
+
+
 def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     """L(1) = id, trace L(g) = chi(g), L(g1) L(g2) = L(g1 g2) on 200 random
     pairs and L(g)[0][0] = J(g), for each cuspidal and each model space.
 
-    The trace, product and pairing-entry checks work over one numbered table
-    per cuspidal (:class:`_Numbers`: J over G, then chi over G): L(g) becomes a
-    matrix of value numbers, its trace is the sum of the diagonal numbers'
-    integers, and each pair of values is multiplied once.  ``bessel.mat_trace``,
-    ``mat_mul`` and ``mat_eq`` are the reference these checks are tested against."""
+    The entries of every L(g) are numbered once per group and kind, as the
+    element numbers of c_i g c_j^-1 (:func:`_entry_table`), and shared by
+    every cuspidal.  Each cuspidal reads J once per element through the
+    evaluator and works over one numbered table (:class:`_Numbers`: J over G,
+    then chi over G): L(g) becomes a matrix of value numbers, its trace is the
+    sum of the diagonal numbers' integers, and each pair of values is
+    multiplied once.  ``bessel.operator_L``, ``mat_trace``, ``mat_mul`` and
+    ``mat_eq`` are the reference these checks are tested against."""
     rng = random.Random(seed)
     checks = []
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
         group = gl_group(qq, rr)
         psi = _std_psi(group)
-        elems = list(group.elements(FULL))
+        els = _Elements(group)
+        n, one = len(els.rows), els.number[group.identity().rows]
         label = f"GL_{rr}(F_{qq})"
-        prod = row_product(group.field, rr)
-        idm = group.identity().rows
+        tables = [(kind, _entry_table(els, group, kind)) for kind in (MIRABOLIC, STABILIZER)]
         for sigma in list_cuspidals(group):
             ev = get_evaluator(sigma, psi)
-            nums = _Numbers(ev(g.rows) for g in elems)
-            chis = [nums(sigma.char_at(g)) for g in elems]
-            for kind in (MIRABOLIC, STABILIZER):
-                ls = {g.rows: operator_L(sigma, psi, g, kind) for g in elems}  # keyed by rows, which hash in C
+            values, nums, js = _bessel_numbers(ev, els)
+            chis = [nums(sigma.char_at(g)) for g in group.elements(FULL)]
+            for kind, table in tables:
+                ident = table[one]
                 ident_ok = all(
-                    (ls[idm][i][j] == (1 if i == j else 0))
-                    for i in range(len(ls[idm]))
-                    for j in range(len(ls[idm]))
+                    values[ident[i][j]] == (1 if i == j else 0) for i in range(len(ident)) for j in range(len(ident))
                 )
-                ns = {g: tuple(tuple(map(nums, row)) for row in a) for g, a in ls.items()}
-                trace_ok = all(
-                    nums.is_sum([a[i][i] for i in range(len(a))], chi) for a, chi in zip(ns.values(), chis)
-                )
+                ls = _operators(table, js)
+                trace_ok = all(nums.is_sum([a[i][i] for i in range(len(a))], chi) for a, chi in zip(ls, chis))
                 mult_ok = True
                 for _ in range(200):
-                    g1, g2 = rng.choice(elems), rng.choice(elems)
-                    if not nums.agree(ns[g1.rows], ns[g2.rows], ns[prod(g1.rows, g2.rows)]):
+                    g1, g2 = rng.randrange(n), rng.randrange(n)
+                    if not nums.agree(ls[g1], ls[g2], ls[els.mul(g1, g2)]):
                         mult_ok = False
                         break
-                entry_ok = all(nums.is_sum((ns[g.rows][0][0],), nums(ev(g.rows))) for g in elems)
+                entry_ok = all(nums.is_sum((a[0][0],), j) for a, j in zip(ls, js))
                 checks.append(
                     Check(
                         "realization",
@@ -589,16 +683,16 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
         group = gl_group(qq, rr)
         psi = _std_psi(group)
-        elems = list(group.elements(FULL))
+        elems = group.elements(FULL)
+        els = _Elements(group)
         cusps = list_cuspidals(group)
         label = f"GL_{rr}(F_{qq})"
-        samples = rng.sample(elems, min(50, len(elems)))
-        inverse_pairs = [(g.rows, g.inv().rows) for g in samples]
+        samples = rng.sample(range(len(elems)), min(50, len(elems)))
         for i, s1 in enumerate(cusps):
             for j, s2 in enumerate(cusps):
                 if i == j:
                     continue
-                ok = all(pair_sum_vanishing(s1, s2, psi, g).is_zero() for g in samples)
+                ok = all(pair_sum_vanishing(s1, s2, psi, elems[x]).is_zero() for x in samples)
                 checks.append(
                     Check(
                         "vanishing",
@@ -607,11 +701,11 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                         f"{len(samples)} sampled g",
                     )
                 )
-        prod, reps = row_product(group.field, rr), _coset_rows(group, STABILIZER)
+        reps = _coset_products(els, group, STABILIZER)
+        inverse_pairs = [(x, els.number[elems[x].inv().rows]) for x in samples]
         for sigma in cusps:
-            ev = get_evaluator(sigma, psi)
-            nums = _Numbers(ev(g.rows) for g in elems)
-            ok = all(_hankel(nums, ev, prod, reps, a, b) for a, b in inverse_pairs)
+            _, nums, js = _bessel_numbers(get_evaluator(sigma, psi), els)
+            ok = all(_hankel(nums, js, els, reps, a, b) for a, b in inverse_pairs)
             checks.append(
                 Check("vanishing", f"{label} same-sigma stabilizer sums orbit {sigma.orbit[0]}", ok)
             )

@@ -79,16 +79,17 @@ def test_numbered_hankel_sum_equals_hankel_check(monkeypatch, q, r, kind):
     hankel_check's answer at every pair of GL_2(F_3) and of the edge groups
     and at sampled pairs of the others."""
     group, psi, elems = _setup(q, r)
-    prod, reps = row_product(group.field, r), verify._coset_rows(group, kind)
+    els = verify._Elements(group)
+    reps = verify._coset_products(els, group, kind)
     outcomes = set()
     for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
         if len(elems) > 1:
             _plant(monkeypatch, ev, elems[len(elems) // 3].rows, sorted(FAULTS)[sigma.exponent % 2])
-        nums = verify._Numbers(ev(g.rows) for g in elems)
+        _, nums, js = verify._bessel_numbers(ev, els)
         for g1, g2 in _pairs(q, r, elems):
             want = hankel_check(sigma, psi, g1, g2, kind)
-            assert verify._hankel(nums, ev, prod, reps, g1.rows, g2.rows) is want
+            assert verify._hankel(nums, js, els, reps, els.number[g1.rows], els.number[g2.rows]) is want
             outcomes.add(want)
     assert outcomes == ({True, False} if len(elems) > 1 else {True})
 

@@ -49,18 +49,29 @@ def test_product_test_agrees_with_mat_mul(q, r):
 
 def test_one_wrong_off_diagonal_entry_fails_its_model(monkeypatch):
     """An off-diagonal entry of one L(g), g not the identity, is seen by no
-    check but the products, so the FAIL comes from the product check."""
+    check but the products, so the FAIL comes from the product check.
+
+    The entry is planted in the suite's numbered L(g) of one cuspidal and the
+    stabilizer: it is replaced by the number of another J value."""
     group = gl_group(3, 2)
     sigma, g = list_cuspidals(group)[1], group.singer_matrix(1)
-    original = verify.operator_L
+    els = verify._Elements(group)
+    x, stabilizer = els.number[g.rows], verify._entry_table(els, group, STABILIZER)
+    current, original_evaluator, original = [], verify.get_evaluator, verify._operators
 
-    def mutated(s, psi, h, kind):
-        out = original(s, psi, h, kind)
-        if s == sigma and kind == STABILIZER and h.rows == g.rows:
-            out = ((out[0][0], out[0][1] + 1),) + out[1:]
+    def evaluator(s, psi):
+        current.append(s)
+        return original_evaluator(s, psi)
+
+    def mutated(table, js):
+        out = original(table, js)
+        if current[-1] == sigma and table == stabilizer:
+            (a, b), *rest = out[x]
+            out[x] = ((a, next(k for k in js if k != b)), *rest)
         return out
 
-    monkeypatch.setattr(verify, "operator_L", mutated)
+    monkeypatch.setattr(verify, "get_evaluator", evaluator)
+    monkeypatch.setattr(verify, "_operators", mutated)
     checks = verify.realization_suite(seed=11, q=3, r=2)
     assert len(checks) == 6
     assert [c.name for c in checks if not c.ok] == [f"GL_2(F_3) stabilizer model orbit {sigma.orbit[0]}"]
