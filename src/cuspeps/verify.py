@@ -315,23 +315,18 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 # numbered elements and values: the arithmetic of the bessel, realization and
 # vanishing suites
 
-# Products by a fixed factor are kept, each formed once, on groups of at most
-# this many elements: a list of |G| numbers per factor.
-MEMO_ELEMENTS = 2048
-
-
 class _Elements:
     """The elements of one group numbered once, in ``elements(FULL)`` order.
 
     ``rows[x]`` are the rows of element x and ``number[rows]`` is x, so the
     product of two elements is one call of the group's bound kernel
     (:func:`cuspeps.glq.row_product`) and one lookup keyed by rows: ``mul(x,
-    y)`` is the number of x y.  ``left(f)`` and ``right(f)`` are read at an
-    element number g and give the numbers of f g and g f for a fixed factor f
-    (a coset representative or its inverse, an element of U, z I).  On a group
-    of at most ``MEMO_ELEMENTS`` elements they are lists, each product formed
-    once; on a larger one each read forms its product, so that the memory of
-    the numbering stays one dict and one list of |G| entries."""
+    y)`` is the number of x y.  ``left(fs)`` and ``right(fs)`` are read at an
+    element number g and give the numbers of f g and of g f for each f of a
+    family of fixed factors (the coset representatives or their inverses, the
+    elements of U, the scalars z I): the products at g are formed at the
+    first read of g and kept (:class:`_Products`), so every cuspidal shares
+    them and the memory grows only with the elements read, one tuple each."""
 
     __slots__ = ("rows", "number", "_prod")
 
@@ -343,32 +338,34 @@ class _Elements:
     def mul(self, x: int, y: int) -> int:
         return self.number[self._prod(self.rows[x], self.rows[y])]
 
-    def left(self, f: int):
-        """The numbers of f g, indexed by g."""
-        if len(self.rows) > MEMO_ELEMENTS:
-            return _Products(self, f, True)
-        number, prod, a = self.number, self._prod, self.rows[f]
-        return [number[prod(a, b)] for b in self.rows]
+    def left(self, fs) -> _Products:
+        """The numbers of f g for each f of ``fs``, by element number g."""
+        return _Products(self, fs, True)
 
-    def right(self, f: int):
-        """The numbers of g f, indexed by g."""
-        if len(self.rows) > MEMO_ELEMENTS:
-            return _Products(self, f, False)
-        number, prod, b = self.number, self._prod, self.rows[f]
-        return [number[prod(a, b)] for a in self.rows]
+    def right(self, fs) -> _Products:
+        """The numbers of g f for each f of ``fs``, by element number g."""
+        return _Products(self, fs, False)
 
 
-class _Products:
-    """``_Elements.left`` or ``right`` of a large group: each read forms its product."""
+class _Products(dict):
+    """``_Elements.left`` or ``right`` of a family of factors: at element
+    number g, the tuple of the numbers of f g (or g f) for each factor f,
+    formed at the first read of g and kept."""
 
-    __slots__ = ("_els", "_f", "_left")
+    __slots__ = ("_els", "_factors", "_left")
 
-    def __init__(self, els: _Elements, f: int, left: bool):
-        self._els, self._f, self._left = els, f, left
+    def __init__(self, els: _Elements, fs, left: bool):
+        super().__init__()
+        self._els, self._factors, self._left = els, [els.rows[f] for f in fs], left
 
-    def __getitem__(self, g: int) -> int:
-        f, els = self._f, self._els
-        return els.mul(f, g) if self._left else els.mul(g, f)
+    def __missing__(self, g: int) -> tuple:
+        els = self._els
+        number, prod, b = els.number, els._prod, els.rows[g]
+        if self._left:
+            self[g] = t = tuple([number[prod(a, b)] for a in self._factors])
+        else:
+            self[g] = t = tuple([number[prod(b, a)] for a in self._factors])
+        return t
 
 
 class _Numbers:
@@ -471,13 +468,14 @@ def _bessel_numbers(ev, els: _Elements):
     return values, nums, list(map(nums, values))
 
 
-def _coset_products(els: _Elements, group: GLGroup, kind: str) -> list:
-    """(``left(c)``, ``right(c^-1)``) for each coset representative c of U\\M."""
+def _coset_products(els: _Elements, group: GLGroup, kind: str) -> tuple:
+    """``left`` of the coset representatives c of U\\M and ``right`` of their
+    inverses: the numbers of c_i g and of g c_j^-1 at each element number g."""
     number = els.number
-    return [
-        (els.left(number[c.rows]), els.right(number[c_inv.rows]))
-        for c, c_inv in zip(group.coset_reps(kind), group.coset_rep_inverses(kind))
-    ]
+    return (
+        els.left([number[c.rows] for c in group.coset_reps(kind)]),
+        els.right([number[c.rows] for c in group.coset_rep_inverses(kind)]),
+    )
 
 
 def _hankel(nums: _Numbers, js, els: _Elements, reps, a: int, b: int) -> bool:
@@ -485,7 +483,8 @@ def _hankel(nums: _Numbers, js, els: _Elements, reps, a: int, b: int) -> bool:
     values: the sum of J(a c^-1) J(c b) over the coset representatives c of
     ``reps`` (from :func:`_coset_products`) is J(a b); ``js`` holds the
     number of J at each element."""
-    pairs = [(js[right[a]], js[left[b]]) for left, right in reps]
+    lefts, rights = reps
+    pairs = [(js[x], js[y]) for x, y in zip(rights[a], lefts[b])]
     return nums.is_product_sum(pairs, js[els.mul(a, b)])
 
 
@@ -497,10 +496,11 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
     """J(1) = 1, central and U-equivariance on both sides, support on U and
     the Hankel identity, for each cuspidal, over all of G (``els``).
 
-    The group side is built once and shared by every cuspidal: the products
-    by z I, by each u in U and by the stabilizer's coset representatives, as
-    element numbers (:class:`_Elements`), and which elements of the mirabolic
-    and the stabilizer lie in U, with their psi_U.  Each cuspidal reads J once
+    The group side is shared by every cuspidal: the products by the scalars
+    z I, by the elements of U and by the stabilizer's coset representatives
+    and their inverses, as element numbers kept at their first read
+    (:class:`_Products`), and which elements of the mirabolic and the
+    stabilizer lie in U, with their psi_U.  Each cuspidal reads J once
     per element through the evaluator and numbers the values
     (:class:`_Numbers`: J over G, then the central values and the psi_U
     roots); samples are drawn as element numbers, at the positions that
@@ -510,13 +510,13 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
     checked on the numbers."""
     psi = _std_psi(group)
     n, number, rr = len(els.rows), els.number, group.r
-    unip = [
-        (els.left(number[u.rows]), els.right(number[u.rows]), group.psi_u(u, psi)) for u in group.elements(UNIPOTENT)
+    unip = [number[u.rows] for u in group.elements(UNIPOTENT)]
+    unip_left, unip_right = els.left(unip), els.right(unip)
+    psi_us = [group.psi_u(u, psi) for u in group.elements(UNIPOTENT)]
+    zs = [
+        number[tuple(tuple(z if i == j else ZERO for j in range(rr)) for i in range(rr))] for z in range(group.q - 1)
     ]
-    scalars = []
-    for z in range(group.q - 1):
-        x = number[tuple(tuple(z if i == j else ZERO for j in range(rr)) for i in range(rr))]
-        scalars.append((els.left(x), els.right(x)))
+    scal_left, scal_right = els.left(zs), els.right(zs)
     reps = _coset_products(els, group, STABILIZER)
     support = [
         (number[m.rows], group.psi_u(m, psi) if group.contains(UNIPOTENT, m) else None)
@@ -528,26 +528,26 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
         ev = get_evaluator(sigma, psi)
         values, nums, js = _bessel_numbers(ev, els)
         centrals = [nums(sigma.central_value(z)) for z in range(group.q - 1)]
-        roots = [(left, right, nums(pu)) for left, right, pu in unip]
+        roots = list(map(nums, psi_us))
         ok_one = ev(group.identity().rows) == 1
         checks.append(Check("bessel", f"{label} J(1)=1 orbit {sigma.orbit[0]}", ok_one))
 
-        def equivariant(factor, left, right, g):
-            """J(x g) == J(g x) == value ``factor`` times J(g), x the fixed factor of ``left`` and ``right``."""
+        def equivariant(factor, xg, gx, g):
+            """J(x g) == J(g x) == value ``factor`` times J(g), given the numbers of x g and g x."""
             want = ((factor, js[g]),)
-            return nums.is_product_sum(want, js[left[g]]) and nums.is_product_sum(want, js[right[g]])
+            return nums.is_product_sum(want, js[xg]) and nums.is_product_sum(want, js[gx])
 
         scal_ok = True
-        for (left, right), central in zip(scalars, centrals):
+        for i, central in enumerate(centrals):
             for g in rng.sample(range(n), k):
-                if not equivariant(central, left, right, g):
+                if not equivariant(central, scal_left[g][i], scal_right[g][i], g):
                     scal_ok = False
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
         for g in rng.sample(range(n), k):
             # ev holds the sum over U by construction; compare them, then the other u on the numbers
             if ev.direct(els.rows[g]) != values[g] or not all(
-                equivariant(pu, left, right, g) for left, right, pu in roots
+                equivariant(pu, ug, gu, g) for pu, ug, gu in zip(roots, unip_left[g], unip_right[g])
             ):
                 equi_ok = False
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))
@@ -604,36 +604,31 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 # realization suite (acceptance criterion 3)
 
 
-def _entry_table(els: _Elements, group: GLGroup, kind: str) -> list:
-    """The entries of L(g) = (J(c_i g c_j^-1)), c_i the coset representatives
-    of U\\M, as element numbers: for each element number g, the matrix of the
-    numbers of c_i g c_j^-1.  ``bessel.operator_L`` is its reference."""
-    number = els.number
-    lefts = [els.left(number[c.rows]) for c in group.coset_reps(kind)]
-    rights = [els.right(number[c.rows]) for c in group.coset_rep_inverses(kind)]
-    return [
-        tuple(tuple(right[cg] for right in rights) for cg in [left[g] for left in lefts])
-        for g in range(len(els.rows))
-    ]
+def _entries(reps: tuple, g: int) -> tuple:
+    """The entries of L(g) = (J(c_i g c_j^-1)) as element numbers: the
+    numbers of c_i g c_j^-1, c_i the coset representatives of ``reps`` (from
+    :func:`_coset_products`).  ``bessel.operator_L`` is its reference."""
+    lefts, rights = reps
+    return tuple(rights[cg] for cg in lefts[g])
 
 
-def _operators(table: list, js) -> list:
-    """L(g) for each element number g as a matrix of value numbers: the entry
-    table read through ``js``, the number of J at each element."""
-    return [tuple(tuple(js[x] for x in row) for row in entries) for entries in table]
+def _operators(reps: tuple, js) -> list:
+    """L(g) for each element number g as a matrix of value numbers: its
+    entries read through ``js``, the number of J at each element."""
+    return [tuple(tuple(js[x] for x in row) for row in _entries(reps, g)) for g in range(len(js))]
 
 
 def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     """L(1) = id, trace L(g) = chi(g), L(g1) L(g2) = L(g1 g2) on 200 random
     pairs and L(g)[0][0] = J(g), for each cuspidal and each model space.
 
-    The entries of every L(g) are numbered once per group and kind, as the
-    element numbers of c_i g c_j^-1 (:func:`_entry_table`), and shared by
-    every cuspidal.  Each cuspidal reads J once per element through the
-    evaluator and works over one numbered table (:class:`_Numbers`: J over G,
-    then chi over G): L(g) becomes a matrix of value numbers, its trace is the
-    sum of the diagonal numbers' integers, and each pair of values is
-    multiplied once.  ``bessel.operator_L``, ``mat_trace``, ``mat_mul`` and
+    The products c_i g c_j^-1, the entries of every L(g) as element numbers
+    (:func:`_entries`), are formed once per group and kind and shared by every
+    cuspidal (:func:`_coset_products`).  Each cuspidal reads J once per element
+    through the evaluator and works over one numbered table (:class:`_Numbers`:
+    J over G, then chi over G): L(g) becomes a matrix of value numbers, its
+    trace is the sum of the diagonal numbers' integers, and each pair of values
+    is multiplied once.  ``bessel.operator_L``, ``mat_trace``, ``mat_mul`` and
     ``mat_eq`` are the reference these checks are tested against."""
     rng = random.Random(seed)
     checks = []
@@ -643,17 +638,17 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         els = _Elements(group)
         n, one = len(els.rows), els.number[group.identity().rows]
         label = f"GL_{rr}(F_{qq})"
-        tables = [(kind, _entry_table(els, group, kind)) for kind in (MIRABOLIC, STABILIZER)]
+        models = [(kind, _coset_products(els, group, kind)) for kind in (MIRABOLIC, STABILIZER)]
         for sigma in list_cuspidals(group):
             ev = get_evaluator(sigma, psi)
             values, nums, js = _bessel_numbers(ev, els)
             chis = [nums(sigma.char_at(g)) for g in group.elements(FULL)]
-            for kind, table in tables:
-                ident = table[one]
+            for kind, reps in models:
+                ident = _entries(reps, one)
                 ident_ok = all(
                     values[ident[i][j]] == (1 if i == j else 0) for i in range(len(ident)) for j in range(len(ident))
                 )
-                ls = _operators(table, js)
+                ls = _operators(reps, js)
                 trace_ok = all(nums.is_sum([a[i][i] for i in range(len(a))], chi) for a, chi in zip(ls, chis))
                 mult_ok = True
                 for _ in range(200):

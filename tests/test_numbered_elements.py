@@ -44,33 +44,30 @@ def _pairs(elems):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
 
 
-@pytest.mark.parametrize("memo", [True, False])
 @pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
-def test_products_by_number_equal_mat_products(monkeypatch, q, r, memo):
-    """mul, left and right give the number of the Mat product, with the
-    fixed-factor products kept (the group is small enough) or formed at each
-    read (the memo bound set below the group's order)."""
-    if not memo:
-        monkeypatch.setattr(verify, "MEMO_ELEMENTS", 0)
+def test_products_by_number_equal_mat_products(q, r):
+    """mul, left and right give the numbers of the Mat products, at a first
+    read and at a repeated one."""
     group = gl_group(q, r)
     elems = group.elements(FULL)
     els = verify._Elements(group)
     assert [els.rows[x] for x in range(len(elems))] == [g.rows for g in elems]
     assert all(els.number[g.rows] == x for x, g in enumerate(elems))
-    lefts, rights = {}, {}
-    for x, y in _pairs(elems):
-        want = els.number[(elems[x] * elems[y]).rows]
-        assert els.mul(x, y) == want
-        assert lefts.setdefault(x, els.left(x))[y] == want
-        assert rights.setdefault(y, els.right(y))[x] == want
-    assert all(isinstance(m, list) is memo for m in (*lefts.values(), *rights.values()))
+    pairs = _pairs(elems)
+    for x, y in pairs:
+        assert els.mul(x, y) == els.number[(elems[x] * elems[y]).rows]
+    factors = sorted({x for x, _ in pairs[:40]})
+    left, right = els.left(factors), els.right(factors)
+    for _, y in pairs * 2:
+        assert left[y] == tuple(els.number[(elems[f] * elems[y]).rows] for f in factors)
+        assert right[y] == tuple(els.number[(elems[y] * elems[f]).rows] for f in factors)
 
 
 @pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
 def test_kept_products_are_each_formed_once(q, r):
-    """Counted at the bound kernel: a list of left or right products forms
-    each of its products once, f g or g f for every g in element order, and
-    reading it forms none; mul forms one product per call."""
+    """Counted at the bound kernel: left and right form f g or g f for every
+    factor f at the first read of g, in the order read, and no product twice
+    however often it is read; mul forms one product per call."""
     group = gl_group(q, r)
     els = verify._Elements(group)
     calls = []
@@ -81,37 +78,47 @@ def test_kept_products_are_each_formed_once(q, r):
         return kernel(a, b)
 
     els._prod = counted
-    n = len(els.rows)
+    n, rows = len(els.rows), els.rows
     factors = random.Random(n).sample(range(n), 5)
-    memos = [(f, els.left(f), els.right(f)) for f in factors]
-    rows = els.rows
-    assert calls == [pair for f in factors for pair in [(rows[f], g) for g in rows] + [(g, rows[f]) for g in rows]]
+    left, right = els.left(factors), els.right(factors)
+    assert calls == []
     rng = random.Random(q + r)
-    for _ in range(1000):
-        f, left, right = rng.choice(memos)
+    first, reads = {}, 0
+    for _ in range(3 * n):
         g = rng.randrange(n)
-        assert (rows[left[g]], rows[right[g]]) == (kernel(rows[f], rows[g]), kernel(rows[g], rows[f]))
-    assert len(calls) == 2 * n * len(factors)
+        for side, memo in (("left", left), ("right", right)):
+            if rng.random() < 0.5:
+                want = [(rows[f], rows[g]) if side == "left" else (rows[g], rows[f]) for f in factors]
+                assert [rows[x] for x in memo[g]] == [kernel(a, b) for a, b in want]
+                first.setdefault((side, g), want)
+                reads += 1
+    assert calls == [pair for pairs in first.values() for pair in pairs]
+    assert len(first) < reads
     els.mul(1, 2)
-    assert len(calls) == 2 * n * len(factors) + 1
+    assert len(calls) == len(factors) * len(first) + 1
 
 
 @pytest.mark.parametrize("q,r", [(3, 2), (2, 3), (4, 2)])
-def test_entry_table_through_j_is_operator_l(q, r):
-    """The realization suite's L(g), its entry table of element numbers read
+def test_entries_through_j_are_operator_l(q, r):
+    """The realization suite's L(g), its entries as element numbers read
     through J, is bessel.operator_L at every g, for both kinds and every
-    cuspidal."""
+    cuspidal; so are the suite's matrices of value numbers."""
     group = gl_group(q, r)
     psi = AdditiveChar(group.field, 0)
     elems = group.elements(FULL)
     els = verify._Elements(group)
     for kind in (MIRABOLIC, STABILIZER):
-        table = verify._entry_table(els, group, kind)
-        assert len(table) == len(elems)
+        reps = verify._coset_products(els, group, kind)
         for sigma in list_cuspidals(group):
             ev = get_evaluator(sigma, psi)
-            for g, entries in zip(elems, table):
-                assert tuple(tuple(ev(els.rows[x]) for x in row) for row in entries) == operator_L(sigma, psi, g, kind)
+            values, nums, js = verify._bessel_numbers(ev, els)
+            ls = verify._operators(reps, js)
+            assert len(ls) == len(elems)
+            for x, g in enumerate(elems):
+                want = operator_L(sigma, psi, g, kind)
+                entries = verify._entries(reps, x)
+                assert tuple(tuple(ev(els.rows[y]) for y in row) for row in entries) == want
+                assert all(nums.is_sum((k,), js[y]) for a, b in zip(ls[x], entries) for k, y in zip(a, b))
 
 
 @pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])

@@ -55,22 +55,29 @@ def test_one_wrong_off_diagonal_entry_fails_its_model(monkeypatch):
     stabilizer: it is replaced by the number of another J value."""
     group = gl_group(3, 2)
     sigma, g = list_cuspidals(group)[1], group.singer_matrix(1)
-    els = verify._Elements(group)
-    x, stabilizer = els.number[g.rows], verify._entry_table(els, group, STABILIZER)
-    current, original_evaluator, original = [], verify.get_evaluator, verify._operators
+    x = verify._Elements(group).number[g.rows]
+    current, stabilizer = [], []
+    original_evaluator, original_reps, original = verify.get_evaluator, verify._coset_products, verify._operators
 
     def evaluator(s, psi):
         current.append(s)
         return original_evaluator(s, psi)
 
-    def mutated(table, js):
-        out = original(table, js)
-        if current[-1] == sigma and table == stabilizer:
+    def coset_products(els, group, kind):
+        reps = original_reps(els, group, kind)
+        if kind == STABILIZER:
+            stabilizer.append(reps)
+        return reps
+
+    def mutated(reps, js):
+        out = original(reps, js)
+        if current[-1] == sigma and reps is stabilizer[-1]:
             (a, b), *rest = out[x]
             out[x] = ((a, next(k for k in js if k != b)), *rest)
         return out
 
     monkeypatch.setattr(verify, "get_evaluator", evaluator)
+    monkeypatch.setattr(verify, "_coset_products", coset_products)
     monkeypatch.setattr(verify, "_operators", mutated)
     checks = verify.realization_suite(seed=11, q=3, r=2)
     assert len(checks) == 6
