@@ -20,9 +20,9 @@ Since J(u1 n u2) = psi_U(u1 u2) J(n), J is fixed by its values on the
 monomials n.  A new J(g) row-reduces g = u1 n u2 (:meth:`GLGroup.bruhat_cell`,
 O(r^3) field operations that also add up s, the sum of the superdiagonals of
 u1 and u2) and returns psi(s) J(n).  J(n) is the sum over U above, taken once
-per monomial (:meth:`BesselEvaluator.direct`, also the reference for the
-equivariance checks).  A zero J(n) or s = 0 returns J(n) itself, which is
-also the value and the printed order of the sum over U at g.  So a full
+per monomial (:meth:`BesselEvaluator.direct`, also the tests' reference for
+the bessel suite's sum over U).  A zero J(n) or s = 0 returns J(n) itself,
+which is also the value and the printed order of the sum over U at g.  So a full
 table over GL_r costs |G| row reductions plus r! (q-1)^r * |U| class
 lookups.  Inside, an element is its row tuple and no :class:`Mat` is built:
 J and ``direct`` take rows, the key of the one memo dict (J(n) is kept under
@@ -76,7 +76,8 @@ class BesselEvaluator:
 
     def direct(self, rows: tuple) -> CycloNumber:
         """J at an element's rows by the defining sum over U, uncached: the
-        formula for monomials and the reference the equivariance checks compare against."""
+        formula for monomials and the reference the bessel suite's sum over U
+        on numbered values is tested against."""
         group, char_value = self.sigma.group, self.sigma.char_value
         key, prod = group.row_key, row_product(group.field, group.r)
         return dot((w, char_value(key(prod(rows, v))), None) for w, v in self._terms).scale(self._norm)

@@ -38,13 +38,14 @@ The monomial and root-of-unity records and the tame transfer live in
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
 from .bessel import get_evaluator
 from .cyclo import UNIT, CycloNumber, dot, one
 from .cusp import CuspidalRep
-from .ffield import ZERO, AdditiveChar
+from .ffield import ZERO, AdditiveChar, FieldSpec
 from .glq import FULL, STABILIZER, GLGroup, Mat, row_product
 from .transfer import RootOfUnity, SMonomial, TransferData, epsilon_transfer
 
@@ -229,24 +230,19 @@ def zeta_tilde_oracle(
 
     Dividing by the dual L-factor and multiplying by L(tau1 x dual(tau2), s)
     must produce an exact monomial in Y; the polynomial division is performed
-    exactly and any nonzero remainder raises OracleError.  The shells cover
-    all of G, so a group over the element bound is refused (ValueError)
-    before any sum."""
+    exactly and any nonzero remainder raises OracleError.  A and P depend on
+    (sigma1, sigma2, psi) alone, not on t1 or t2, so they are summed once per
+    such triple and kept (:func:`_shell_sums`); the L-factor algebra runs on
+    every call.  The shells cover all of G, so a group over the element bound
+    is refused (ValueError) before any sum."""
     _check_compatible(tau1, tau2)
     group = tau1.group
     _psi_check(group, psi)
     group.check_bound(FULL)
     r, q = group.r, group.q
     q_b = q**r
-    j1, j2 = get_evaluator(tau1.sigma, psi), get_evaluator(tau2.sigma, psi)
     w = tau2.central_sign()
-
-    # S_e = sum over U\Stab of J_1(h y_e) J_2(h y_e); (h, y) -> h y is a
-    # bijection U\Stab x T -> U\G, so P is the sum of the S_e
-    stab_reps = group.coset_reps(STABILIZER)
-    shells = [_pair_sum(j1, j2, stab_reps, group.singer_matrix(e)) for e in range(q_b - 1)]
-    a_value = dot((_phi_weight(group, psi, e), s_e, None) for e, s_e in enumerate(shells))
-    p_value = dot((UNIT, s_e, None) for s_e in shells)
+    a_value, p_value = _shell_sums(group, tau1.sigma.exponent, tau2.sigma.exponent, psi.field, psi.a)
     lfac = l_factor_pair(tau1, tau2)
 
     if tau1.sigma != tau2.sigma:
@@ -275,6 +271,21 @@ def zeta_tilde_oracle(
     coeff = (p_value - a_value).scale(Fraction(1, q_b)) * u_round.inverse().value()
     return SMonomial(w * coeff, q, -r, Fraction(r))
 
+
+@functools.cache
+def _shell_sums(group: GLGroup, exponent1: int, exponent2: int, field: FieldSpec, a: int) -> tuple:
+    """A, without its factor q^{-r/2}, and P of :func:`zeta_tilde_oracle`
+    for the cuspidals of these exponents and psi = AdditiveChar(field, a);
+    keyed, like ``bessel._evaluator``, by what hashes in C."""
+    psi = AdditiveChar(field, a)
+    j1 = get_evaluator(CuspidalRep(group, exponent1), psi)
+    j2 = get_evaluator(CuspidalRep(group, exponent2), psi)
+    # S_e = sum over U\Stab of J_1(h y_e) J_2(h y_e); (h, y) -> h y is a
+    # bijection U\Stab x T -> U\G, so P is the sum of the S_e
+    stab_reps = group.coset_reps(STABILIZER)
+    shells = [_pair_sum(j1, j2, stab_reps, group.singer_matrix(e)) for e in range(group.q**group.r - 1)]
+    a_value = dot((_phi_weight(group, psi, e), s_e, None) for e, s_e in enumerate(shells))
+    return a_value, dot((UNIT, s_e, None) for s_e in shells)
 
 
 class TameTwist(Frozen):

@@ -29,7 +29,6 @@ from .epsilon import (
     OracleError,
     TameTwist,
     epsilon_pair,
-    pair_sum_vanishing,
     twist_ratio_check,
     zeta_tilde_oracle,
 )
@@ -368,29 +367,49 @@ class _Products(dict):
         return t
 
 
+class _Keys(dict):
+    """The class key of each element read, by element number: found at the
+    first read of the element (:meth:`GLGroup.row_key`) and kept, so every
+    cuspidal of the group reads chi through the same keys."""
+
+    __slots__ = ("_rows", "_key")
+
+    def __init__(self, group: GLGroup, els: _Elements):
+        super().__init__()
+        self._rows, self._key = els.rows, group.row_key
+
+    def __missing__(self, x: int):
+        self[x] = key = self._key(self._rows[x])
+        return key
+
+
 class _Numbers:
-    """The distinct values of one cuspidal's tables as numbers, with exact
-    sums and products of them over integers.
+    """The distinct values of a suite's tables as numbers, with exact sums
+    and products of them over integers.
 
     The suites read J once per element, through the evaluator, into a list
     indexed by element number (:class:`_Elements`), and number each value by
     calling the table with it: values are numbered by their canonical (m, num,
     den), and each is written once as the integers of D * value at the common
-    order M and denominator D of every value numbered.  The remainder modulo
-    Phi_M is linear and unique, so a sum of values equals a value exactly when
-    the sums of their integers agree, and the product of two values is the
+    order M and denominator D of every value numbered.  A table serves one
+    cuspidal in the bessel and realization suites and every cuspidal of the
+    group in the vanishing suite; :meth:`conjugate` numbers the conjugate of a
+    value, once per value.  The remainder modulo Phi_M is linear and unique,
+    so a sum of values equals a value exactly when the sums of their
+    integers agree, and the product of two values is the
     convolution of their integers reduced modulo Phi_M (D^2 times the
     product), formed at most once per pair.  A value numbered later whose order
     or denominator does not divide M or D widens them and rewrites the table.
     No cyclotomic number is formed per sum or product; tests check each
     comparison against the same one over :class:`cuspeps.cyclo.CycloNumber`
-    (``bessel.hankel_check``, ``mat_trace``, ``mat_mul`` and ``mat_eq`` among
-    them)."""
+    (``bessel.hankel_check``, ``epsilon.pair_sum_vanishing``,
+    ``BesselEvaluator.direct``, ``mat_trace``, ``mat_mul`` and ``mat_eq``
+    among them)."""
 
-    __slots__ = ("_index", "_values", "_ints", "_targets", "_products", "order", "den")
+    __slots__ = ("_index", "_values", "_ints", "_targets", "_products", "_conjugates", "order", "den")
 
     def __init__(self, values):
-        self._index, self._values, self._products = {}, [], {}
+        self._index, self._values, self._products, self._conjugates = {}, [], {}, {}
         for x in values:
             n = self._index.setdefault((x.m, x.num, x.den), len(self._values))
             if n == len(self._values):
@@ -419,6 +438,13 @@ class _Numbers:
             else:
                 self._add(x)
         return n
+
+    def conjugate(self, n: int) -> int:
+        """The number of the complex conjugate of value n."""
+        c = self._conjugates.get(n)
+        if c is None:
+            c = self._conjugates[n] = self(self._values[n].conjugate())
+        return c
 
     def _product(self, x: int, y: int) -> tuple:
         a, b = self._ints[x], self._ints[y]
@@ -478,6 +504,22 @@ def _coset_products(els: _Elements, group: GLGroup, kind: str) -> tuple:
     )
 
 
+def _u_sum(nums: _Numbers, weights, chis, neg_size: int, j: int, zero: int) -> bool:
+    """``BesselEvaluator.direct`` at an element g over numbered values: the
+    sum of conj psi_U(u) chi(g u) over u in U, less |U| J(g), is 0.
+    ``weights`` and ``chis`` number conj psi_U(u) and chi(g u) in the order
+    of U, ``neg_size`` is -|U|, ``j`` is J(g) and ``zero`` is 0."""
+    return nums.is_product_sum([*zip(weights, chis), (neg_size, j)], zero)
+
+
+def _vanishes(nums: _Numbers, j1s, conj_j2s, hgs, zero: int) -> bool:
+    """``epsilon.pair_sum_vanishing`` at an element g over numbered values:
+    the sum of J_1(hg) conj J_2(hg) over the coset representatives h of U\\G
+    is 0.  ``hgs`` are the numbers of the hg (``_Elements.left``), ``j1s`` and
+    ``conj_j2s`` number J_1 and conj J_2 by element, and ``zero`` is 0."""
+    return nums.is_product_sum([(j1s[x], conj_j2s[x]) for x in hgs], zero)
+
+
 def _hankel(nums: _Numbers, js, els: _Elements, reps, a: int, b: int) -> bool:
     """``bessel.hankel_check`` at the elements numbered a, b over numbered
     values: the sum of J(a c^-1) J(c b) over the coset representatives c of
@@ -500,19 +542,21 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
     z I, by the elements of U and by the stabilizer's coset representatives
     and their inverses, as element numbers kept at their first read
     (:class:`_Products`), and which elements of the mirabolic and the
-    stabilizer lie in U, with their psi_U.  Each cuspidal reads J once
-    per element through the evaluator and numbers the values
-    (:class:`_Numbers`: J over G, then the central values and the psi_U
-    roots); samples are drawn as element numbers, at the positions that
-    drawing the elements themselves would pick.  The sum over U at each
-    sampled g (``ev.direct``) stays the reference: it must equal J(g), which is
-    the check at u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) for every u is
-    checked on the numbers."""
+    stabilizer lie in U, with their psi_U, and the class key of each
+    element read (:class:`_Keys`).  Each cuspidal reads J once per element
+    through the evaluator and numbers the values (:class:`_Numbers`: J over
+    G, then the central values, the psi_U roots and their conjugates, -|U|
+    and 0); samples are drawn as element numbers, at the positions that
+    drawing the elements themselves would pick.  At each sampled g the
+    defining sum over U (:func:`_u_sum`, ``ev.direct`` on numbers, with g u
+    read from the products by U) must give J(g), which is the check at
+    u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) is checked for every u."""
     psi = _std_psi(group)
     n, number, rr = len(els.rows), els.number, group.r
     unip = [number[u.rows] for u in group.elements(UNIPOTENT)]
     unip_left, unip_right = els.left(unip), els.right(unip)
     psi_us = [group.psi_u(u, psi) for u in group.elements(UNIPOTENT)]
+    keys = _Keys(group, els)
     zs = [
         number[tuple(tuple(z if i == j else ZERO for j in range(rr)) for i in range(rr))] for z in range(group.q - 1)
     ]
@@ -529,6 +573,8 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
         values, nums, js = _bessel_numbers(ev, els)
         centrals = [nums(sigma.central_value(z)) for z in range(group.q - 1)]
         roots = list(map(nums, psi_us))
+        weights = list(map(nums.conjugate, roots))
+        neg_size, zero_n = nums(CycloNumber.rational(-len(unip))), nums(zero())
         ok_one = ev(group.identity().rows) == 1
         checks.append(Check("bessel", f"{label} J(1)=1 orbit {sigma.orbit[0]}", ok_one))
 
@@ -545,9 +591,10 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
         checks.append(Check("bessel", f"{label} central equivariance orbit {sigma.orbit[0]}", scal_ok))
         equi_ok = True
         for g in rng.sample(range(n), k):
-            # ev holds the sum over U by construction; compare them, then the other u on the numbers
-            if ev.direct(els.rows[g]) != values[g] or not all(
-                equivariant(pu, ug, gu, g) for pu, ug, gu in zip(roots, unip_left[g], unip_right[g])
+            gus = unip_right[g]
+            chis = (nums(sigma.char_value(keys[x])) for x in gus)
+            if not _u_sum(nums, weights, chis, neg_size, js[g], zero_n) or not all(
+                equivariant(pu, ug, gu, g) for pu, ug, gu in zip(roots, unip_left[g], gus)
             ):
                 equi_ok = False
         checks.append(Check("bessel", f"{label} U-equivariance orbit {sigma.orbit[0]}", equi_ok))
@@ -673,6 +720,18 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 
 
 def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
+    """For each ordered pair of distinct cuspidals, the sum over U\\G of J_1(hg)
+    conj J_2(hg) is 0 at 50 sampled g; for each cuspidal, the stabilizer
+    sums of J(g c^-1) J(c g^-1) over U\\Stab give J(1) at the same g.
+
+    Both run over one numbered table per group (:class:`_Numbers`: J over G
+    of every cuspidal, read once per element through the evaluators, then
+    their conjugates and 0).  The numbers of the hg come from the products
+    by the coset representatives of U\\G (``_Elements.left``), formed once
+    per group and shared by every pair (:func:`_vanishes`), and the
+    stabilizer sums are the Hankel identity at (g, g^-1) (:func:`_hankel`).
+    ``epsilon.pair_sum_vanishing`` and ``bessel.hankel_check`` are the
+    reference these checks are tested against."""
     rng = random.Random(seed)
     checks = []
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
@@ -680,14 +739,21 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
         psi = _std_psi(group)
         elems = group.elements(FULL)
         els = _Elements(group)
+        number = els.number
         cusps = list_cuspidals(group)
         label = f"GL_{rr}(F_{qq})"
         samples = rng.sample(range(len(elems)), min(50, len(elems)))
+        values = [[ev(rows) for rows in els.rows] for ev in (get_evaluator(s, psi) for s in cusps)]
+        nums = _Numbers([x for vs in values for x in vs])
+        js = [list(map(nums, vs)) for vs in values]
+        conj_js = [list(map(nums.conjugate, ns)) for ns in js]
+        zero_n = nums(zero())
+        hgs = els.left([number[h.rows] for h in group.coset_reps(FULL)])
         for i, s1 in enumerate(cusps):
             for j, s2 in enumerate(cusps):
                 if i == j:
                     continue
-                ok = all(pair_sum_vanishing(s1, s2, psi, elems[x]).is_zero() for x in samples)
+                ok = all(_vanishes(nums, js[i], conj_js[j], hgs[x], zero_n) for x in samples)
                 checks.append(
                     Check(
                         "vanishing",
@@ -697,10 +763,9 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                     )
                 )
         reps = _coset_products(els, group, STABILIZER)
-        inverse_pairs = [(x, els.number[elems[x].inv().rows]) for x in samples]
-        for sigma in cusps:
-            _, nums, js = _bessel_numbers(get_evaluator(sigma, psi), els)
-            ok = all(_hankel(nums, js, els, reps, a, b) for a, b in inverse_pairs)
+        inverse_pairs = [(x, number[elems[x].inv().rows]) for x in samples]
+        for sigma, ns in zip(cusps, js):
+            ok = all(_hankel(nums, ns, els, reps, a, b) for a, b in inverse_pairs)
             checks.append(
                 Check("vanishing", f"{label} same-sigma stabilizer sums orbit {sigma.orbit[0]}", ok)
             )

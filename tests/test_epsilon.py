@@ -349,6 +349,26 @@ def test_shell_sums_add_up_to_full_pair_sum(q, r):
             assert total == pair_sum_vanishing(s1, s2, psi, group.identity())
 
 
+@pytest.mark.parametrize("q,r", [(5, 1), (3, 2)])
+def test_oracle_answer_does_not_depend_on_its_memo(q, r):
+    """The shell sums are kept per (sigma1, sigma2, psi): every answer's
+    to_dict() is the same with the memo cleared before each call and with
+    the t-pairs of every pair run in either order on one memo."""
+    group, psi, cusps = _setup(q, r)
+    t_pairs = [(RootOfUnity.one(), RootOfUnity.one()), (RootOfUnity(3, 1), RootOfUnity.one()),
+               (RootOfUnity(4, 1), RootOfUnity(8, 1))]
+    calls = [(LevelZeroRep(s1, t1), LevelZeroRep(s2, t2)) for s1 in cusps for s2 in cusps for t1, t2 in t_pairs]
+    cold = []
+    for tau1, tau2 in calls:
+        epsilon._shell_sums.cache_clear()
+        cold.append(zeta_tilde_oracle(tau1, tau2, psi).to_dict())
+    for order in (calls, calls[::-1]):
+        epsilon._shell_sums.cache_clear()
+        warm = {id(taus): zeta_tilde_oracle(*taus, psi).to_dict() for taus in order}
+        assert [warm[id(taus)] for taus in calls] == cold
+    assert epsilon._shell_sums.cache_info().hits == len(calls) - len(cusps) ** 2
+
+
 def test_oracle_builds_no_full_coset_reps(monkeypatch):
     kinds = _coset_kinds_asked(monkeypatch)
     group = GLGroup(build_field(3, 1), 2)

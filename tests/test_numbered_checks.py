@@ -1,12 +1,12 @@
 """The numbered checks of the bessel, realization and vanishing suites against
 the same checks over cyclotomic numbers.
 
-``verify._Numbers`` numbers the distinct values of one cuspidal's tables and
+``verify._Numbers`` numbers the distinct values of a suite's tables and
 compares sums and products of them as integers.  Its reference is the
 arithmetic of :class:`cuspeps.cyclo.CycloNumber`: ``bessel.hankel_check``,
-``mat_trace`` and ``*`` with ``==`` one comparison at a time, and
-:class:`CycloTable` below, the same interface with every number the value
-itself, for whole suites.
+``epsilon.pair_sum_vanishing``, ``BesselEvaluator.direct``, ``mat_trace`` and
+``*`` with ``==`` one comparison at a time, and :class:`CycloTable` below,
+the same interface with every number the value itself, for whole suites.
 """
 
 import random
@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from cuspeps import verify
-from cuspeps.bessel import get_evaluator, hankel_check, mat_eq, mat_mul, mat_trace, operator_L
-from cuspeps.cusp import list_cuspidals
-from cuspeps.cyclo import UNIT, dot, root_of_unity, zero
+from cuspeps import epsilon, verify
+from cuspeps.bessel import BesselEvaluator, get_evaluator, hankel_check, mat_eq, mat_mul, mat_trace, operator_L
+from cuspeps.cusp import contragredient, list_cuspidals
+from cuspeps.cyclo import UNIT, CycloNumber, dot, root_of_unity, zero
+from cuspeps.epsilon import pair_sum_vanishing
 from cuspeps.ffield import ZERO, AdditiveChar
 from cuspeps.glq import FULL, MIRABOLIC, STABILIZER, UNIPOTENT, gl_group, row_product
 
@@ -31,6 +32,9 @@ class CycloTable:
 
     def __call__(self, x):
         return x
+
+    def conjugate(self, x):
+        return x.conjugate()
 
     def is_sum(self, ns, k):
         return sum(ns, zero()) == k
@@ -142,6 +146,80 @@ def test_numbered_equivariance_equals_cyclotomic_products(q, r):
     assert False in outcomes or q == 2 and r < 3  # psi_U and theta are trivial on GL_1(F_2), GL_2(F_2)
 
 
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_numbered_pair_sum_equals_pair_sum_vanishing(q, r):
+    """Over one table of every cuspidal's J, their conjugates and 0, as in
+    the vanishing suite, the numbered sum over U\\G of J_1(hg) conj J_2(hg)
+    is 0 exactly when ``pair_sum_vanishing`` is, for every ordered pair
+    (equal pairs give nonzero sums) at 12 sampled g."""
+    group, psi, elems = _setup(q, r)
+    els = verify._Elements(group)
+    cusps = list_cuspidals(group)
+    nums = verify._Numbers([])
+    js = [[nums(get_evaluator(s, psi)(rows)) for rows in els.rows] for s in cusps]
+    conj_js = [list(map(nums.conjugate, ns)) for ns in js]
+    zero_n = nums(zero())
+    hgs = els.left([els.number[h.rows] for h in group.coset_reps(FULL)])
+    outcomes = set()
+    for g in random.Random(q * 10 + r).sample(range(len(elems)), 12):
+        for i, s1 in enumerate(cusps):
+            for j, s2 in enumerate(cusps):
+                want = pair_sum_vanishing(s1, s2, psi, elems[g]).is_zero()
+                assert verify._vanishes(nums, js[i], conj_js[j], hgs[g], zero_n) is want
+                assert want is (i != j)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3)])
+def test_numbered_sum_over_u_equals_direct(q, r):
+    """At every element g and for every cuspidal, the numbered sum over U of
+    conj psi_U(u) chi(g u), read through the class keys of the products by U
+    as in the bessel suite, is |U| times ``ev.direct(g)``, and is |U| times
+    a value w exactly when ``ev.direct(g) == w``, for w = J at another
+    element."""
+    group, psi, elems = _setup(q, r)
+    els = verify._Elements(group)
+    unip = group.elements(UNIPOTENT)
+    gus = els.right([els.number[u.rows] for u in unip])
+    keys = verify._Keys(group, els)
+    outcomes = set()
+    for sigma in list_cuspidals(group):
+        ev = get_evaluator(sigma, psi)
+        nums = verify._Numbers([ev(rows) for rows in els.rows])
+        weights = [nums(group.psi_u(u, psi).conjugate()) for u in unip]
+        neg_size, zero_n = nums(CycloNumber.rational(-len(unip))), nums(zero())
+        for g, rows in enumerate(els.rows):
+            chis = [nums(sigma.char_value(keys[x])) for x in gus[g]]
+            direct = ev.direct(rows)
+            assert verify._u_sum(nums, weights, chis, neg_size, nums(direct), zero_n)
+            other = ev(els.rows[(g + 1) % len(elems)])
+            want = direct == other
+            assert verify._u_sum(nums, weights, chis, neg_size, nums(other), zero_n) is want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_suites_form_no_cyclotomic_pair_sum_or_sum_over_u(monkeypatch):
+    """With J warm, the vanishing suite forms no cyclotomic pair sum and the
+    bessel suite no cyclotomic sum over U: both work over numbered values."""
+    def refuse(*args):
+        raise AssertionError("a cyclotomic pair sum or sum over U was formed")
+
+    for q, r in ((3, 2), (2, 3)):
+        group, psi, elems = _setup(q, r)
+        for sigma in list_cuspidals(group):
+            # the bessel suite also reads J of the contragredient on GL_2(F_3)
+            for ev in (get_evaluator(sigma, psi), get_evaluator(contragredient(sigma), psi.conjugate())):
+                for g in elems:
+                    ev(g.rows)
+    monkeypatch.setattr(epsilon, "_pair_sum", refuse)
+    monkeypatch.setattr(BesselEvaluator, "direct", refuse)
+    for suite in ("vanishing", "bessel"):
+        for q, r in ((3, 2), (2, 3)):
+            assert all(line.startswith("[PASS]") for line in _lines(suite, q, r))
+
+
 def _values(rng):
     m = rng.choice((1, 2, 3, 4, 7, 8, 12, 15))
     acc = zero()
@@ -203,6 +281,9 @@ def test_planted_wrong_bessel_value_fails_as_over_cyclotomic_numbers(monkeypatch
     monkeypatch.setattr(verify, "_Numbers", CycloTable)
     assert numbered == [line for suite in SUITES for line in _lines(suite, q, r)]
     orbit = sigma.orbit[0]
-    for failed in (f"bessel: GL_{r}(F_{q}) Hankel identity orbit {orbit}",
-                   f"realization: GL_{r}(F_{q}) stabilizer model orbit {orbit} ("):
-        assert any(line.startswith("[FAIL] " + failed) for line in numbered)
+    failed = [f"bessel: GL_{r}(F_{q}) Hankel identity orbit {orbit}",
+              f"realization: GL_{r}(F_{q}) stabilizer model orbit {orbit} ("]
+    if where != "middle":  # J of the other cuspidals is nonzero there
+        failed.append(f"vanishing: GL_{r}(F_{q}) distinct pair ({orbit},")
+    for line in failed:
+        assert any(out.startswith("[FAIL] " + line) for out in numbered)
