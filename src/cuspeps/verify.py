@@ -9,6 +9,7 @@ suite both run these functions; CI can gate on the exit code.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -314,34 +315,53 @@ def cusp_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
 # numbered elements and values: the arithmetic of the bessel, realization and
 # vanishing suites
 
+@functools.cache
+def _elements(group: GLGroup) -> _Elements:
+    """The one numbering of the group's elements, kept for the process like the group's own caches."""
+    return _Elements(group)
+
+
 class _Elements:
-    """The elements of one group numbered once, in ``elements(FULL)`` order.
+    """The elements of one group numbered in ``elements(FULL)`` order, once
+    per process (:func:`_elements`).
 
-    ``rows[x]`` are the rows of element x and ``number[rows]`` is x, so the
-    product of two elements is one call of the group's bound kernel
-    (:func:`cuspeps.glq.row_product`) and one lookup keyed by rows: ``mul(x,
-    y)`` is the number of x y.  ``left(fs)`` and ``right(fs)`` are read at an
-    element number g and give the numbers of f g and of g f for each f of a
-    family of fixed factors (the coset representatives or their inverses, the
-    elements of U, the scalars z I): the products at g are formed at the
-    first read of g and kept (:class:`_Products`), so every cuspidal shares
-    them and the memory grows only with the elements read, one tuple each."""
+    ``rows[x]`` are the rows of element x and ``number[rows]`` is x, so
+    ``mul(x, y)``, the number of x y, is one call of the group's bound kernel
+    (:func:`cuspeps.glq.row_product`) and one lookup; ``inverse(x)`` is the
+    number of x^-1.  ``left(fs)`` and ``right(fs)`` give at an element number
+    g the numbers of f g and of g f for each f of a tuple of fixed factors
+    (the coset representatives or their inverses, the elements of U, the
+    scalars z I), formed at the first read of g (:class:`_Products`).  The
+    inverses, the families and their products are kept, so every cuspidal,
+    suite and request shares them; the memory grows with the elements read."""
 
-    __slots__ = ("rows", "number", "_prod")
+    __slots__ = ("rows", "number", "one", "_prod", "_inverses")
 
     def __init__(self, group: GLGroup):
         self.rows = [g.rows for g in group.elements(FULL)]
         self.number = {rows: x for x, rows in enumerate(self.rows)}
-        self._prod = row_product(group.field, group.r)
+        self.one = self.number[group.identity().rows]
+        self._prod, self._inverses = row_product(group.field, group.r), {}
 
     def mul(self, x: int, y: int) -> int:
         return self.number[self._prod(self.rows[x], self.rows[y])]
 
-    def left(self, fs) -> _Products:
+    def inverse(self, x: int) -> int:
+        """The number of x^-1; the first read walks x, x^2, ... up to x^k = 1 and keeps x^(k-i) for each x^i."""
+        if x not in self._inverses:
+            powers = [self.one]
+            while (y := self.mul(powers[-1], x)) != self.one:
+                powers.append(y)
+            self._inverses.update((y, powers[-i]) for i, y in enumerate(powers))
+        return self._inverses[x]
+
+    @functools.cache
+    def left(self, fs: tuple) -> _Products:
         """The numbers of f g for each f of ``fs``, by element number g."""
         return _Products(self, fs, True)
 
-    def right(self, fs) -> _Products:
+    @functools.cache
+    def right(self, fs: tuple) -> _Products:
         """The numbers of g f for each f of ``fs``, by element number g."""
         return _Products(self, fs, False)
 
@@ -349,7 +369,7 @@ class _Elements:
 class _Products(dict):
     """``_Elements.left`` or ``right`` of a family of factors: at element
     number g, the tuple of the numbers of f g (or g f) for each factor f,
-    formed at the first read of g and kept."""
+    formed at the first read of g and kept, like the family, for the process."""
 
     __slots__ = ("_els", "_factors", "_left")
 
@@ -365,22 +385,6 @@ class _Products(dict):
         else:
             self[g] = t = tuple([number[prod(b, a)] for a in self._factors])
         return t
-
-
-class _Keys(dict):
-    """The class key of each element read, by element number: found at the
-    first read of the element (:meth:`GLGroup.row_key`) and kept, so every
-    cuspidal of the group reads chi through the same keys."""
-
-    __slots__ = ("_rows", "_key")
-
-    def __init__(self, group: GLGroup, els: _Elements):
-        super().__init__()
-        self._rows, self._key = els.rows, group.row_key
-
-    def __missing__(self, x: int):
-        self[x] = key = self._key(self._rows[x])
-        return key
 
 
 class _Numbers:
@@ -497,11 +501,8 @@ def _bessel_numbers(ev, els: _Elements):
 def _coset_products(els: _Elements, group: GLGroup, kind: str) -> tuple:
     """``left`` of the coset representatives c of U\\M and ``right`` of their
     inverses: the numbers of c_i g and of g c_j^-1 at each element number g."""
-    number = els.number
-    return (
-        els.left([number[c.rows] for c in group.coset_reps(kind)]),
-        els.right([number[c.rows] for c in group.coset_rep_inverses(kind)]),
-    )
+    cs = tuple(els.number[c.rows] for c in group.coset_reps(kind))
+    return els.left(cs), els.right(tuple(map(els.inverse, cs)))
 
 
 def _u_sum(nums: _Numbers, weights, chis, neg_size: int, j: int, zero: int) -> bool:
@@ -540,26 +541,27 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
 
     The group side is shared by every cuspidal: the products by the scalars
     z I, by the elements of U and by the stabilizer's coset representatives
-    and their inverses, as element numbers kept at their first read
-    (:class:`_Products`), and which elements of the mirabolic and the
-    stabilizer lie in U, with their psi_U, and the class key of each
-    element read (:class:`_Keys`).  Each cuspidal reads J once per element
-    through the evaluator and numbers the values (:class:`_Numbers`: J over
-    G, then the central values, the psi_U roots and their conjugates, -|U|
-    and 0); samples are drawn as element numbers, at the positions that
-    drawing the elements themselves would pick.  At each sampled g the
+    and their inverses, as element numbers formed at their first read and
+    kept for the process (:class:`_Products`), which elements of the
+    mirabolic and the stabilizer lie in U, with their psi_U, and the class
+    key of each element read, kept by the group (:meth:`GLGroup.row_key`).
+    Each cuspidal reads J once per element through the evaluator and numbers
+    the values (:class:`_Numbers`: J over G, then the central values, the
+    psi_U roots and their conjugates, -|U| and 0); samples are drawn as
+    element numbers, at the positions that drawing the elements themselves
+    would pick.  At each sampled g the
     defining sum over U (:func:`_u_sum`, ``ev.direct`` on numbers, with g u
     read from the products by U) must give J(g), which is the check at
     u = 1, and then J(u g) = J(g u) = psi_U(u) J(g) is checked for every u."""
     psi = _std_psi(group)
     n, number, rr = len(els.rows), els.number, group.r
-    unip = [number[u.rows] for u in group.elements(UNIPOTENT)]
+    unip = tuple(number[u.rows] for u in group.elements(UNIPOTENT))
     unip_left, unip_right = els.left(unip), els.right(unip)
     psi_us = [group.psi_u(u, psi) for u in group.elements(UNIPOTENT)]
-    keys = _Keys(group, els)
-    zs = [
+    row_key, rows = group.row_key, els.rows
+    zs = tuple(
         number[tuple(tuple(z if i == j else ZERO for j in range(rr)) for i in range(rr))] for z in range(group.q - 1)
-    ]
+    )
     scal_left, scal_right = els.left(zs), els.right(zs)
     reps = _coset_products(els, group, STABILIZER)
     support = [
@@ -592,7 +594,7 @@ def _bessel_property_checks(group: GLGroup, els: _Elements, checks, label, rng):
         equi_ok = True
         for g in rng.sample(range(n), k):
             gus = unip_right[g]
-            chis = (nums(sigma.char_value(keys[x])) for x in gus)
+            chis = (nums(sigma.char_value(row_key(rows[x]))) for x in gus)
             if not _u_sum(nums, weights, chis, neg_size, js[g], zero_n) or not all(
                 equivariant(pu, ug, gu, g) for pu, ug, gu in zip(roots, unip_left[g], gus)
             ):
@@ -617,7 +619,7 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     for qq, rr in groups:
         group = gl_group(qq, rr)
         label = f"GL_{rr}(F_{qq})"
-        _bessel_property_checks(group, _Elements(group), checks, label, rng)
+        _bessel_property_checks(group, _elements(group), checks, label, rng)
     if (2, 2) in groups:
         # the unique cuspidal of GL_2(F_2) is the sign character of S_3
         group = gl_group(2, 2)
@@ -632,18 +634,16 @@ def bessel_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                 ok = False
         checks.append(Check("bessel", "GL_2(F_2) Bessel = sign character of S_3", ok))
     # contragredient identities on GL_2(F_3)
-    if not [1 for qq, rr in groups if (qq, rr) == (3, 2)]:
+    if (3, 2) not in groups:
         return checks
     group = gl_group(3, 2)
-    psi = _std_psi(group)
-    pairs = [(g.rows, g.inv().rows) for g in group.elements(FULL)]
+    psi, els = _std_psi(group), _elements(group)
+    pairs = [(rows, els.rows[els.inverse(x)]) for x, rows in enumerate(els.rows)]
     for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
         dual = get_evaluator(contragredient(sigma), psi.conjugate())
         ok = all(dual(g) == ev(g_inv) and dual(g) == ev(g).conjugate() for g, g_inv in pairs)
-        checks.append(
-            Check("bessel", f"contragredient table identities orbit {sigma.orbit[0]}", ok)
-        )
+        checks.append(Check("bessel", f"contragredient table identities orbit {sigma.orbit[0]}", ok))
     return checks
 
 
@@ -670,8 +670,8 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     pairs and L(g)[0][0] = J(g), for each cuspidal and each model space.
 
     The products c_i g c_j^-1, the entries of every L(g) as element numbers
-    (:func:`_entries`), are formed once per group and kind and shared by every
-    cuspidal (:func:`_coset_products`).  Each cuspidal reads J once per element
+    (:func:`_entries`), are formed once per group and kind and kept for the
+    process (:func:`_coset_products`).  Each cuspidal reads J once per element
     through the evaluator and works over one numbered table (:class:`_Numbers`:
     J over G, then chi over G): L(g) becomes a matrix of value numbers, its
     trace is the sum of the diagonal numbers' integers, and each pair of values
@@ -682,8 +682,8 @@ def realization_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
         group = gl_group(qq, rr)
         psi = _std_psi(group)
-        els = _Elements(group)
-        n, one = len(els.rows), els.number[group.identity().rows]
+        els = _elements(group)
+        n, one = len(els.rows), els.one
         label = f"GL_{rr}(F_{qq})"
         models = [(kind, _coset_products(els, group, kind)) for kind in (MIRABOLIC, STABILIZER)]
         for sigma in list_cuspidals(group):
@@ -728,8 +728,9 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     of every cuspidal, read once per element through the evaluators, then
     their conjugates and 0).  The numbers of the hg come from the products
     by the coset representatives of U\\G (``_Elements.left``), formed once
-    per group and shared by every pair (:func:`_vanishes`), and the
-    stabilizer sums are the Hankel identity at (g, g^-1) (:func:`_hankel`).
+    per group and kept for the process (:func:`_vanishes`), and the
+    stabilizer sums are the Hankel identity at (g, g^-1) (:func:`_hankel`),
+    g^-1 read from the kept inverses (``_Elements.inverse``).
     ``epsilon.pair_sum_vanishing`` and ``bessel.hankel_check`` are the
     reference these checks are tested against."""
     rng = random.Random(seed)
@@ -737,18 +738,16 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
     for qq, rr in _groups(((3, 2), (2, 3)), q, r):
         group = gl_group(qq, rr)
         psi = _std_psi(group)
-        elems = group.elements(FULL)
-        els = _Elements(group)
-        number = els.number
+        els = _elements(group)
         cusps = list_cuspidals(group)
         label = f"GL_{rr}(F_{qq})"
-        samples = rng.sample(range(len(elems)), min(50, len(elems)))
+        samples = rng.sample(range(len(els.rows)), min(50, len(els.rows)))
         values = [[ev(rows) for rows in els.rows] for ev in (get_evaluator(s, psi) for s in cusps)]
         nums = _Numbers([x for vs in values for x in vs])
         js = [list(map(nums, vs)) for vs in values]
         conj_js = [list(map(nums.conjugate, ns)) for ns in js]
         zero_n = nums(zero())
-        hgs = els.left([number[h.rows] for h in group.coset_reps(FULL)])
+        hgs = els.left(tuple(els.number[h.rows] for h in group.coset_reps(FULL)))
         for i, s1 in enumerate(cusps):
             for j, s2 in enumerate(cusps):
                 if i == j:
@@ -763,7 +762,7 @@ def vanishing_suite(seed: int = DEFAULT_SEED, q=None, r=None) -> list[Check]:
                     )
                 )
         reps = _coset_products(els, group, STABILIZER)
-        inverse_pairs = [(x, number[elems[x].inv().rows]) for x in samples]
+        inverse_pairs = [(x, els.inverse(x)) for x in samples]
         for sigma, ns in zip(cusps, js):
             ok = all(_hankel(nums, ns, els, reps, a, b) for a, b in inverse_pairs)
             checks.append(

@@ -83,7 +83,7 @@ def test_numbered_hankel_sum_equals_hankel_check(monkeypatch, q, r, kind):
     hankel_check's answer at every pair of GL_2(F_3) and of the edge groups
     and at sampled pairs of the others."""
     group, psi, elems = _setup(q, r)
-    els = verify._Elements(group)
+    els = verify._elements(group)
     reps = verify._coset_products(els, group, kind)
     outcomes = set()
     for sigma in list_cuspidals(group):
@@ -153,13 +153,13 @@ def test_numbered_pair_sum_equals_pair_sum_vanishing(q, r):
     is 0 exactly when ``pair_sum_vanishing`` is, for every ordered pair
     (equal pairs give nonzero sums) at 12 sampled g."""
     group, psi, elems = _setup(q, r)
-    els = verify._Elements(group)
+    els = verify._elements(group)
     cusps = list_cuspidals(group)
     nums = verify._Numbers([])
     js = [[nums(get_evaluator(s, psi)(rows)) for rows in els.rows] for s in cusps]
     conj_js = [list(map(nums.conjugate, ns)) for ns in js]
     zero_n = nums(zero())
-    hgs = els.left([els.number[h.rows] for h in group.coset_reps(FULL)])
+    hgs = els.left(tuple(els.number[h.rows] for h in group.coset_reps(FULL)))
     outcomes = set()
     for g in random.Random(q * 10 + r).sample(range(len(elems)), 12):
         for i, s1 in enumerate(cusps):
@@ -179,10 +179,9 @@ def test_numbered_sum_over_u_equals_direct(q, r):
     a value w exactly when ``ev.direct(g) == w``, for w = J at another
     element."""
     group, psi, elems = _setup(q, r)
-    els = verify._Elements(group)
+    els = verify._elements(group)
     unip = group.elements(UNIPOTENT)
-    gus = els.right([els.number[u.rows] for u in unip])
-    keys = verify._Keys(group, els)
+    gus = els.right(tuple(els.number[u.rows] for u in unip))
     outcomes = set()
     for sigma in list_cuspidals(group):
         ev = get_evaluator(sigma, psi)
@@ -190,7 +189,7 @@ def test_numbered_sum_over_u_equals_direct(q, r):
         weights = [nums(group.psi_u(u, psi).conjugate()) for u in unip]
         neg_size, zero_n = nums(CycloNumber.rational(-len(unip))), nums(zero())
         for g, rows in enumerate(els.rows):
-            chis = [nums(sigma.char_value(keys[x])) for x in gus[g]]
+            chis = [nums(sigma.char_value(group.row_key(els.rows[x]))) for x in gus[g]]
             direct = ev.direct(rows)
             assert verify._u_sum(nums, weights, chis, neg_size, nums(direct), zero_n)
             other = ev(els.rows[(g + 1) % len(elems)])

@@ -55,7 +55,7 @@ def test_one_wrong_off_diagonal_entry_fails_its_model(monkeypatch):
     stabilizer: it is replaced by the number of another J value."""
     group = gl_group(3, 2)
     sigma, g = list_cuspidals(group)[1], group.singer_matrix(1)
-    x = verify._Elements(group).number[g.rows]
+    x = verify._elements(group).number[g.rows]
     current, stabilizer = [], []
     original_evaluator, original_reps, original = verify.get_evaluator, verify._coset_products, verify._operators
 
