@@ -1,10 +1,11 @@
 import pytest
 
-from cuspeps import ffield, verify
+from cuspeps import cyclo, ffield, verify
 from cuspeps.cyclo import root_of_unity
 from cuspeps.ffield import (
     ZERO,
     AdditiveChar,
+    FieldSpec,
     MultChar,
     build_field,
     frobenius_orbit,
@@ -215,3 +216,96 @@ def test_field_suite_mobius_matches_the_divisor_sum():
     for n in range(2, 1001):
         mu[n] = -sum(mu[d] for d in range(1, n) if n % d == 0)
     assert all(verify._mobius(n) == mu[n] for n in mu)
+
+
+def _copy(F):
+    """A fresh FieldSpec equal to F, so a planted fault never reaches the interned field."""
+    return FieldSpec(F.p, F.k, F.modulus, list(F.powers))
+
+
+def _swapped(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _changed(table, a, b):
+    row = list(table[a])
+    row[b] = 1 if row[b] == 0 else 0
+    return table[:a] + (tuple(row),) + table[a + 1:]
+
+
+def _swapped_zech(F):
+    """Tables built before the swap, so only add reads the swapped entry."""
+    G = _copy(F)
+    G.tables()
+    i = next(l for l in range(1, F.q - 1) if F.zech[l] != F.zech[0])
+    G.zech = tuple(_swapped(F.zech, 0, i))
+    return G
+
+
+def _changed_add_table(F):
+    G = _copy(F)
+    add, mul = G.tables()
+    G._tables = (_changed(add, 1, 2), mul)
+    return G
+
+
+def _changed_mul_table(F):
+    G = _copy(F)
+    add, mul = G.tables()
+    G._tables = (add, _changed(mul, 1, 2))
+    return G
+
+
+def _swapped_powers(F):
+    return FieldSpec(F.p, F.k, F.modulus, _swapped(F.powers, 1, 2))
+
+
+FAULTS = {
+    "swapped Zech entry": (_swapped_zech, {"field axioms GF(5^2)", "Zech table GF(5^2)"}),
+    "changed add-table entry": (_changed_add_table, {"field axioms GF(5^2)"}),
+    "changed mul-table entry": (_changed_mul_table, {"field axioms GF(5^2)"}),
+    "two swapped powers": (_swapped_powers, {"field axioms GF(5^2)"}),
+}
+
+
+def _failed_lines(checks):
+    return {c.name for c in checks if not c.ok}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_field_suite_fails_each_planted_fault(fault, monkeypatch):
+    """One fault per fresh copy makes the construction check fail on GF(4),
+    GF(9), GF(16) and GF(25); planted in the suite's GF(25), which no
+    character or embedding line reads, it fails exactly the expected lines."""
+    plant, lines = FAULTS[fault]
+    for p, k in ((2, 2), (3, 2), (2, 4), (5, 2)):
+        F = build_field(p, k)
+        assert verify._matches_construction(_copy(F))
+        assert not verify._matches_construction(plant(F))
+        assert verify._matches_construction(F)
+    bad = plant(build_field(5, 2))
+    monkeypatch.setattr(verify, "build_field", lambda p, k=1: bad if (p, k) == (5, 2) else build_field(p, k))
+    assert _failed_lines(verify.field_suite()) == lines
+
+
+def test_field_suite_sees_one_wrong_trace(monkeypatch):
+    """A trace wrong at one element of GF(81) fails that field's character laws and no other line."""
+    F, trace = build_field(3, 4), FieldSpec.trace_to_prime
+
+    def wrong(self, a):
+        return (trace(self, a) + 1) % self.p if self is F and a == 5 else trace(self, a)
+
+    monkeypatch.setattr(FieldSpec, "trace_to_prime", wrong)
+    assert _failed_lines(verify.field_suite()) == {"character laws GF(3^4)"}
+
+
+def test_field_suite_does_no_cyclotomic_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the field suite built a cyclotomic number")
+
+    monkeypatch.setattr(cyclo, "_make", refuse)
+    monkeypatch.setattr(cyclo.CycloNumber, "__init__", refuse)
+    checks = verify.field_suite()
+    assert len(checks) == 37 and all(c.ok for c in checks)

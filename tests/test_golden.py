@@ -8,7 +8,9 @@ characteristic polynomial, the four Bessel tables (printed in the
 enumeration order of G, of the mirabolic subgroup or of U) before the
 row-pattern scan, and the eight ``verify`` reports on GL_2(F_3),
 GL_2(F_4), GL_2(F_5) and GL_3(F_2) are those in ``bench/refs.json``, recorded
-before the table-driven matrix product.  The two ``field`` tables, the CSV
+before the table-driven matrix product.  The ``verify --suite field`` report
+was recorded while that suite still checked the field axioms in an O(q^3)
+loop and the character laws on cyclotomic numbers.  The two ``field`` tables, the CSV
 epsilon factors, the CSV Bessel table on U of GL_2(F_2) and both tables of
 GL_1(F_27) were recorded before the CLI streamed its output.  The vanishing,
 realization, Bessel and epsilon reports run every character sum of
@@ -69,6 +71,7 @@ CASES = {
     "epsilon-gl4-f3": ("epsilon", "--q", "3", "--r", "4", "--theta1", "1", "--theta2", "2"),
     "epsilon-gl5-f2": ("epsilon", "--q", "2", "--r", "5", "--theta1", "1", "--theta2", "3"),
     "verify-cyclo": ("verify", "--suite", "cyclo"),
+    "verify-field": ("verify", "--suite", "field"),
     "verify-realization-gl2-f3": ("verify", "--suite", "realization", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-bessel-gl2-f3": ("verify", "--suite", "bessel", "--q", "3", "--r", "2", "--seed", "11"),
     "verify-cusp-gl2-f5": ("verify", "--suite", "cusp", "--q", "5", "--r", "2", "--seed", "11"),
@@ -112,6 +115,7 @@ DIGESTS = {
     "verify-bessel-gl3-f2": "b988fdcbf7a1ab8ee58c25028b2d7ca73be9b51856d366c30940bd0f981c03f9",
     "verify-cusp-gl2-f5": "5b707617e3811aa666cce534f0898cfd049408552ad71019f2370ad0d847bdae",
     "verify-cyclo": "c1a3273c3602aa9d8211173a5757012ab0c577d9ce2abb88960748ac79cbca54",
+    "verify-field": "23f94dcaf3ea2efff9c508778516559b6648b8de75567e56b9dca41cd240034f",
     "verify-epsilon-gl2-f4": "de8b00e4d158852f1308f9c9a805585ee125169557bffb531dc6d4c566495a53",
     "verify-glq-gl3-f2": "2029c4e828bfbf45381bfb97605e8e4807d391badee465f996d933b73e0d7196",
     "verify-realization-gl2-f3": "472a3f1d82a48c5eab8dc1b90a8db0af250181e4a60202a9878f6088c1a100ef",
